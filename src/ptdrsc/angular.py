@@ -117,30 +117,34 @@ def _q_domain_check(q: float, zeta: float) -> float:
     return min(max(q, 0.0), upper)
 
 
-def _raw_polar(q, chi, lam, n_r, zeta):
+def _raw_level(q, chi, lam, n_r, zeta):
     s = math.sin(zeta * q)
     c = math.cos(zeta * q)
     f = hyp2f1_terminating(n_r, chi + lam + n_r, chi + 0.5, s * s)
     return (s ** chi) * (c ** lam) * f
 
 
-def polar_solution(chi: float, lam: float, n_r: int,
-                   zeta: float = 1.0) -> AngularSolution:
-    """Quadrature-normalized bound solution of the full (chi, lam) well."""
-    chi, lam, zeta, n_r = _check_well(chi, lam, zeta, n_r)
+def _normalized(chi, lam, n_r, zeta, eigenvalue) -> AngularSolution:
+    """Fold the quadrature norm of the raw level into its evaluator."""
     upper = math.pi / (2.0 * zeta)
-    norm2, _ = quad(lambda q: _raw_polar(q, chi, lam, n_r, zeta) ** 2,
+    norm2, _ = quad(lambda q: _raw_level(q, chi, lam, n_r, zeta) ** 2,
                     0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
     if not (norm2 > 0.0 and math.isfinite(norm2)):
         raise DomainError(f"eigenfunction norm integral came out {norm2!r}")
     amp = 1.0 / math.sqrt(norm2)
 
     def evaluator(q: float) -> float:
-        return amp * _raw_polar(_q_domain_check(q, zeta), chi, lam, n_r, zeta)
+        return amp * _raw_level(_q_domain_check(q, zeta), chi, lam, n_r, zeta)
 
     return AngularSolution(chi=chi, lam=lam, zeta=zeta, n_r=n_r,
-                           eigenvalue=polar_eigenvalue(chi, lam, n_r, zeta),
-                           evaluator=evaluator)
+                           eigenvalue=eigenvalue, evaluator=evaluator)
+
+
+def polar_solution(chi: float, lam: float, n_r: int,
+                   zeta: float = 1.0) -> AngularSolution:
+    """Quadrature-normalized bound solution of the full (chi, lam) well."""
+    chi, lam, zeta, n_r = _check_well(chi, lam, zeta, n_r)
+    return _normalized(chi, lam, n_r, zeta, polar_eigenvalue(chi, lam, n_r, zeta))
 
 
 def polar_eigenfunction(q: float, chi: float, lam: float, n_r: int,
@@ -166,30 +170,13 @@ def degenerate_eigenvalue(lam: float, n_r: int, zeta: float = 1.0) -> float:
     return 2.0 * zeta * zeta * s * s - 0.5 * zeta * zeta
 
 
-def _raw_degenerate(q, lam, n_r, zeta):
-    s = math.sin(zeta * q)
-    c = math.cos(zeta * q)
-    f = hyp2f1_terminating(n_r, lam + n_r, 0.5, s * s)
-    return (c ** lam) * f
-
-
 def degenerate_solution(lam: float, n_r: int, zeta: float = 1.0) -> AngularSolution:
-    """Normalized chi = 0 solution; finite (nonzero) at q = 0."""
-    degenerate_eigenvalue(lam, n_r, zeta)  # validates
-    lam, zeta, n_r = float(lam), float(zeta), int(n_r)
-    upper = math.pi / (2.0 * zeta)
-    norm2, _ = quad(lambda q: _raw_degenerate(q, lam, n_r, zeta) ** 2,
-                    0.0, upper, epsabs=0.0, epsrel=1e-12, limit=200)
-    if not (norm2 > 0.0 and math.isfinite(norm2)):
-        raise DomainError(f"eigenfunction norm integral came out {norm2!r}")
-    amp = 1.0 / math.sqrt(norm2)
+    """Normalized chi = 0 solution; finite (nonzero) at q = 0.
 
-    def evaluator(q: float) -> float:
-        return amp * _raw_degenerate(_q_domain_check(q, zeta), lam, n_r, zeta)
-
-    return AngularSolution(chi=0.0, lam=lam, zeta=zeta, n_r=n_r,
-                           eigenvalue=degenerate_eigenvalue(lam, n_r, zeta),
-                           evaluator=evaluator)
+    It is the full well's level at chi = 0, where (sin zeta q)^0 = 1.
+    """
+    eigenvalue = degenerate_eigenvalue(lam, n_r, zeta)  # validates
+    return _normalized(0.0, float(lam), int(n_r), float(zeta), eigenvalue)
 
 
 def degenerate_eigenfunction(q: float, lam: float, n_r: int,

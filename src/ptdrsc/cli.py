@@ -22,6 +22,7 @@ from .errors import DomainError, NumericalError
 __all__ = ["main"]
 
 _PROG = "ptdrsc"
+_MAX_SWEEP_ROWS = 100_000
 
 
 class _UsageError(Exception):
@@ -38,7 +39,7 @@ class _Opt:
     def __init__(self, name, kind, default=None, required=False, choices=None):
         self.name = name            # long flag name, with dashes
         self.dest = name.replace("-", "_")
-        self.kind = kind            # "float" | "int" | "sweep" | "str"
+        self.kind = kind            # "float" | "int" | "count" | "sweep" | "str"
         self.default = default
         self.required = required
         self.choices = choices
@@ -53,7 +54,12 @@ def _parse_sweep(text: str) -> List[float]:
     start, step, stop = (float(p) for p in parts)
     if step == 0.0 or (stop - start) * step < 0.0:
         raise _UsageError(f"sweep {text!r} does not advance from start to stop")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_SWEEP_ROWS:  # also rejects inf and nan
+        raise _UsageError(
+            f"sweep {text!r} does not give a finite row count of at most {_MAX_SWEEP_ROWS}"
+        )
+    count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 
@@ -63,6 +69,11 @@ def _convert(opt: _Opt, raw: str):
             return float(raw)
         if opt.kind == "int":
             return int(raw, 10)
+        if opt.kind == "count":
+            count = int(raw, 10)
+            if count < 0:
+                raise _UsageError(f"--{opt.name} must be non-negative, got {raw!r}")
+            return count
         if opt.kind == "sweep":
             return _parse_sweep(raw)
     except ValueError as exc:
@@ -104,7 +115,7 @@ _SCHEMAS = {
         _Opt("mass", "float", default=1.0),
         _Opt("energy", "sweep", required=True),
         _Opt("delta", "float", required=True),
-        _Opt("lmax", "int", default=10),
+        _Opt("lmax", "count", default=10),
     ],
     "wavefunction": [
         _Opt("mass", "float", default=1.0),
@@ -117,15 +128,15 @@ _SCHEMAS = {
         _Opt("mass", "float", default=1.0),
         _Opt("energy", "float", required=True),
         _Opt("delta", "float", required=True),
-        _Opt("lmax", "int", default=2000),
+        _Opt("lmax", "count", default=2000),
         _Opt("theta", "sweep", required=True),
         _Opt("smoothing", "str", default="abel", choices=("abel", "cesaro", "none")),
     ],
     "bound-states": [
         _Opt("mass", "float", default=1.0),
         _Opt("delta", "float", required=True),
-        _Opt("nmax", "int", default=3),
-        _Opt("lmax", "int", default=3),
+        _Opt("nmax", "count", default=3),
+        _Opt("lmax", "count", default=3),
     ],
     "thermo": [
         _Opt("beta", "sweep", required=True),
@@ -137,7 +148,7 @@ _SCHEMAS = {
         _Opt("chi", "float", required=True),
         _Opt("lam", "float", required=True),
         _Opt("zeta", "float", default=1.0),
-        _Opt("nmax", "int", default=5),
+        _Opt("nmax", "count", default=5),
     ],
     "screened-fit": [
         _Opt("phi", "float", required=True),

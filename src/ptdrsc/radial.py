@@ -171,14 +171,33 @@ def partial_wave(ctx: RelativisticContext, ell: int, ell_prime: int | None = Non
     )
 
 
-def _g_complex(ctx: RelativisticContext, ell: int, r: float) -> complex:
+def _regular_wave(ctx: RelativisticContext, ell: int, r: float, derivative: bool):
+    """g_{kℓ}(r), and dg/dr from the ₁F₁ derivative if ``derivative``."""
+    ell = _check_ell(ell)
+    r = float(r)
+    if not (r > 0.0 and math.isfinite(r)):
+        raise DomainError(f"r must be positive and finite, got {r!r}")
     k = ctx.wave_number
-    eta = ctx.sommerfeld
-    a = complex(ell + 0.5, -eta)
+    a = complex(ell + 0.5, -ctx.sommerfeld)
     b = complex(2 * ell + 1)
     z = complex(0.0, -2.0 * k * r)
+    F = hyp1f1(a, b, z)
     ln_pre = log_normalization_constant(ctx, ell) + (ell + 0.5) * math.log(k * r)
-    return cmath.exp(complex(ln_pre, k * r)) * hyp1f1(a, b, z)
+    pre = cmath.exp(complex(ln_pre, k * r))
+    g = pre * F
+    # The normalized envelope is O(2); a pure ratio test would trip on
+    # noise at the zeros of g, so the scale is floored at unity.
+    scale = max(abs(g), 1.0)
+    if abs(g.imag) > _REALNESS_TOL * scale:
+        raise RealnessViolation(
+            f"radial_wavefunction lost realness at r={r!r}, ell={ell}: "
+            f"imag/scale = {abs(g.imag) / scale:.3e}"
+        )
+    if not derivative:
+        return g.real
+    Fp = (a / b) * hyp1f1(a + 1, b + 1, z)
+    gp = pre * (((ell + 0.5) / r + 1j * k) * F - 2j * k * Fp)
+    return g.real, gp.real
 
 
 def radial_wavefunction(ctx: RelativisticContext, ell: int, r: float) -> float:
@@ -195,48 +214,14 @@ def radial_wavefunction(ctx: RelativisticContext, ell: int, r: float) -> float:
     RealnessViolation
         If the imaginary residue is too large (a special-function bug).
     """
-    ell = _check_ell(ell)
-    r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"r must be positive and finite, got {r!r}")
-    val = _g_complex(ctx, ell, r)
-    # The normalized envelope is O(2); a pure ratio test would trip on
-    # noise at the zeros of g, so the scale is floored at unity.
-    scale = max(abs(val), 1.0)
-    if abs(val.imag) > _REALNESS_TOL * scale:
-        raise RealnessViolation(
-            f"radial_wavefunction lost realness at r={r!r}, ell={ell}: "
-            f"imag/scale = {abs(val.imag) / scale:.3e}"
-        )
-    return val.real
+    return _regular_wave(ctx, ell, r, derivative=False)
 
 
 def radial_wavefunction_with_derivative(
     ctx: RelativisticContext, ell: int, r: float
 ) -> tuple[float, float]:
     """g_{kℓ}(r) together with dg/dr (analytic, via the ₁F₁ derivative)."""
-    ell = _check_ell(ell)
-    r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"r must be positive and finite, got {r!r}")
-    k = ctx.wave_number
-    eta = ctx.sommerfeld
-    a = complex(ell + 0.5, -eta)
-    b = complex(2 * ell + 1)
-    z = complex(0.0, -2.0 * k * r)
-    F = hyp1f1(a, b, z)
-    Fp = (a / b) * hyp1f1(a + 1, b + 1, z)
-    ln_pre = log_normalization_constant(ctx, ell) + (ell + 0.5) * math.log(k * r)
-    pre = cmath.exp(complex(ln_pre, k * r))
-    g = pre * F
-    gp = pre * (((ell + 0.5) / r + 1j * k) * F - 2j * k * Fp)
-    scale = max(abs(g), 1.0)
-    if abs(g.imag) > _REALNESS_TOL * scale:
-        raise RealnessViolation(
-            f"radial_wavefunction lost realness at r={r!r}, ell={ell}: "
-            f"imag/scale = {abs(g.imag) / scale:.3e}"
-        )
-    return g.real, gp.real
+    return _regular_wave(ctx, ell, r, derivative=True)
 
 
 def scattering_amplitude(

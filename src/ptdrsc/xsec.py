@@ -140,7 +140,7 @@ def forward_probability(dcs: Callable[[float], float]) -> float:
 
 def backward_probability(dcs: Callable[[float], float]) -> float:
     """Probability of scattering into the backward hemisphere."""
-    return scatter_probability(dcs, math.pi) - scatter_probability(dcs, 0.5 * math.pi)
+    return 1.0 - forward_probability(dcs)
 
 
 def screened_rutherford_dcs(model: ScreenedRutherford,

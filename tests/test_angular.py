@@ -4,6 +4,7 @@ degeneracies, and the coupling maps."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -106,6 +107,37 @@ def test_polar_eigenfunction_normalized_value_oracle():
     # chi=2, lam=3, n_r=1 at q=0.7; mpmath quadrature norm, 50 dps
     got = polar_eigenfunction(0.7, 2.0, 3.0, 1)
     assert got == pytest.approx(0.012120570665743484679, rel=1e-9)
+
+
+def _mp_polar_level(q, chi, lam, n_r):
+    """mpmath level: Jacobi polynomial over its closed-form norm (zeta = 1).
+
+    With u = cos 2q the level is ((1-u)/2)^(chi/2) ((1+u)/2)^(lam/2)
+    P_n^(a,b)(u) / P_n^(a,b)(1), a = chi - 1/2, b = lam - 1/2, and its
+    squared norm is 2^-(chi+lam) h_n^(a,b) / (2 P_n^(a,b)(1)^2).
+    """
+    n = n_r
+    a, b = mpmath.mpf(chi) - 0.5, mpmath.mpf(lam) - 0.5
+    h = (2 ** (a + b + 1) / (2 * n + a + b + 1) * mpmath.gamma(n + a + 1)
+         * mpmath.gamma(n + b + 1) / (mpmath.factorial(n) * mpmath.gamma(n + a + b + 1)))
+    p1 = mpmath.binomial(n + a, n)
+    norm2 = 2 ** (-(a + b + 1)) * h / (2 * p1 * p1)
+    q = mpmath.mpf(q)
+    raw = (mpmath.sin(q) ** chi * mpmath.cos(q) ** lam
+           * mpmath.jacobi(n, a, b, mpmath.cos(2 * q)) / p1)
+    return raw / mpmath.sqrt(norm2)
+
+
+@pytest.mark.parametrize("chi,lam", [(2.0, 3.0), (1.5, 2.5)])
+@pytest.mark.parametrize("n_r", range(11, 20))
+def test_high_polar_levels_match_mpmath(chi, lam, n_r):
+    sol = polar_solution(chi, lam, n_r)
+    qs = np.linspace(0.0, 0.5 * math.pi, 61)
+    with mpmath.workdps(30):
+        want = [float(_mp_polar_level(q, chi, lam, n_r)) for q in qs]
+    peak = max(abs(w) for w in want)
+    worst = max(abs(sol.evaluator(float(q)) - w) for q, w in zip(qs, want))
+    assert worst <= 1e-10 * peak, worst / peak
 
 
 @pytest.mark.filterwarnings("ignore::UserWarning")  # quad roundoff on ~0 integrals

@@ -110,6 +110,9 @@ def test_domain_errors_exit_2():
     assert r.stderr.count(b"\n") == 1
     assert run_cli("bound-states", "--delta", "-1").returncode == 2
     assert run_cli("angular", "--chi", "0.2", "--lam", "2").returncode == 2
+    # a negative ell is physical input, not a count
+    assert run_cli("wavefunction", "--energy", "1.5", "--delta", "1",
+                   "--ell", "-1", "--r", "1").returncode == 2
 
 
 def test_numerical_errors_exit_3():
@@ -154,3 +157,25 @@ def test_sweep_includes_endpoint():
     rows = out.strip().splitlines()[1:]
     assert len(rows) == 5
     assert rows[-1].startswith("2.00000000000e+00")
+
+
+@pytest.mark.parametrize("argv", [
+    # negative counts
+    ["phase-shifts", "--energy", "1.5", "--delta", "1", "--lmax", "-3"],
+    ["bound-states", "--delta", "0.5", "--nmax", "-1"],
+    ["bound-states", "--delta", "0.5", "--lmax", "-1"],
+    ["angular", "--chi", "2", "--lam", "3", "--nmax", "-1"],
+    # about 1e300 rows: rejected before any row is built
+    ["wavefunction", "--energy", "1.5", "--delta", "1", "--r", "0:1e-300:1"],
+    # one row past the cap
+    ["thermo", "--beta", "0:1:100000", "--xi", "1"],
+    # non-finite counts
+    ["thermo", "--beta", "0.01:1:inf", "--xi", "1"],
+    ["wavefunction", "--energy", "1.5", "--delta", "1", "--r", "0:1e-320:1"],
+])
+def test_out_of_bound_counts_are_usage_errors(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"ptdrsc: usage error:")
+    assert r.stderr.count(b"\n") == 1

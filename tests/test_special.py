@@ -9,6 +9,7 @@ import cmath
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
@@ -37,6 +38,18 @@ LOGGAMMA_ORACLES = [
 def test_log_gamma_oracles(z, want):
     got = log_gamma(z)
     assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_log_gamma_matches_mpmath_over_contract_box():
+    # seeded grid over |Re z|, |Im z| <= 1000; mpmath shares the branch
+    # convention (imaginary part not reduced mod 2 pi)
+    rng = np.random.default_rng(20200905)
+    pts = rng.uniform(-1000.0, 1000.0, size=(400, 2))
+    with mpmath.workdps(30):
+        for re, im in pts:
+            want = complex(mpmath.loggamma(mpmath.mpc(re, im)))
+            got = log_gamma(complex(re, im))
+            assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (re, im)
 
 
 def test_log_gamma_real_axis_matches_lgamma():
@@ -198,6 +211,25 @@ def test_hyp2f1_terminating_exact_zero():
 
 def test_hyp2f1_terminating_n_zero_is_one():
     assert hyp2f1_terminating(0, 3.0, -1.0, 0.5) == 1.0
+
+
+@pytest.mark.parametrize("chi,lam", [(2.0, 3.0), (1.5, 2.5), (0.0, 3.0)])
+def test_hyp2f1_terminating_angular_levels_match_mpmath(chi, lam):
+    # weighted level (sin q)^chi (cos q)^lam 2F1(-n, chi+lam+n; chi+1/2; sin^2 q),
+    # whose alternating terms cancel badly in a term-by-term sum
+    qs = np.linspace(0.0, 0.5 * math.pi, 41)
+    with mpmath.workdps(40):
+        for n in range(31):
+            want, got = [], []
+            for q in qs:
+                s, c = math.sin(q), math.cos(q)
+                weight = s ** chi * c ** lam
+                ref = mpmath.hyp2f1(-n, chi + lam + n, chi + 0.5, mpmath.mpf(s * s))
+                want.append(weight * float(ref))
+                got.append(weight * hyp2f1_terminating(n, chi + lam + n, chi + 0.5, s * s))
+            peak = max(abs(w) for w in want)
+            worst = max(abs(g - w) for g, w in zip(got, want))
+            assert worst <= 1e-12 * peak, (n, worst / peak)
 
 
 def test_hyp2f1_terminating_parameter_pole():
