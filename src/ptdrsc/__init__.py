@@ -2,149 +2,24 @@
 Coulomb-plus-Poschl-Teller interaction, with scattering, spectral and
 high-temperature thermodynamic observables."""
 
-from .angular import (
-    AngularSolution,
-    azimuthal_m_squared,
-    degenerate_eigenfunction,
-    degenerate_eigenvalue,
-    degenerate_solution,
-    map_azimuthal,
-    map_polar,
-    polar_eigenfunction,
-    polar_eigenvalue,
-    polar_solution,
-    pt_parameter_from_strength,
-)
-from .bound import (
-    BoundLevel,
-    bound_energy,
-    bound_energy_bisection,
-    bound_level,
-    energy_equation_residual,
-    nonrel_energy,
-)
-from .errors import (
-    ComplexBranch,
-    DomainError,
-    NoConvergence,
-    NonIntegrable,
-    NoRoot,
-    NumericalError,
-    Overflow,
-    ParameterPole,
-    PoleError,
-    PtdrscError,
-    RealnessViolation,
-)
-from .radial import (
-    PartialWave,
-    RelativisticContext,
-    coulomb_cross_section,
-    log_normalization_constant,
-    make_context,
-    normalization_constant,
-    partial_wave,
-    phase_shift,
-    radial_wavefunction,
-    radial_wavefunction_with_derivative,
-    scattering_amplitude,
-    short_range_phase_shift,
-)
-from .special import dawson, erfi, hyp1f1, hyp2f1_terminating, log_gamma
-from .thermo import (
-    ThermoState,
-    entropy,
-    free_energy,
-    log_partition_function,
-    mean_energy,
-    partition_function,
-    partition_sum,
-    specific_heat,
-)
-from .xsec import (
-    ScreenedRutherford,
-    backward_probability,
-    fit_screened,
-    forward_probability,
-    mean_wide_angle_collisions,
-    scatter_probability,
-    screened_rutherford_dcs,
-    screened_sigma_total,
-    screened_sigma_transport,
-    screened_transport_ratio,
-    sigma_total,
-    sigma_transport,
-    transport_ratio,
-)
+from . import angular, bound, errors, radial, special, thermo, xsec
+from .angular import *
+from .bound import *
+from .errors import *
+from .radial import *
+from .special import *
+from .thermo import *
+from .xsec import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularSolution",
-    "BoundLevel",
-    "ComplexBranch",
-    "DomainError",
-    "NoConvergence",
-    "NonIntegrable",
-    "NoRoot",
-    "NumericalError",
-    "Overflow",
-    "ParameterPole",
-    "PartialWave",
-    "PoleError",
-    "PtdrscError",
-    "RealnessViolation",
-    "RelativisticContext",
-    "ScreenedRutherford",
-    "ThermoState",
-    "azimuthal_m_squared",
-    "backward_probability",
-    "bound_energy",
-    "bound_energy_bisection",
-    "bound_level",
-    "coulomb_cross_section",
-    "dawson",
-    "degenerate_eigenfunction",
-    "degenerate_eigenvalue",
-    "degenerate_solution",
-    "energy_equation_residual",
-    "entropy",
-    "erfi",
-    "fit_screened",
-    "forward_probability",
-    "free_energy",
-    "hyp1f1",
-    "hyp2f1_terminating",
-    "log_gamma",
-    "log_normalization_constant",
-    "log_partition_function",
-    "make_context",
-    "map_azimuthal",
-    "map_polar",
-    "mean_energy",
-    "mean_wide_angle_collisions",
-    "nonrel_energy",
-    "normalization_constant",
-    "partial_wave",
-    "partition_function",
-    "partition_sum",
-    "phase_shift",
-    "polar_eigenfunction",
-    "polar_eigenvalue",
-    "polar_solution",
-    "pt_parameter_from_strength",
-    "radial_wavefunction",
-    "radial_wavefunction_with_derivative",
-    "scatter_probability",
-    "scattering_amplitude",
-    "screened_rutherford_dcs",
-    "screened_sigma_total",
-    "screened_sigma_transport",
-    "screened_transport_ratio",
-    "short_range_phase_shift",
-    "sigma_total",
-    "sigma_transport",
-    "specific_heat",
-    "transport_ratio",
+    *angular.__all__,
+    *bound.__all__,
+    *errors.__all__,
+    *radial.__all__,
+    *special.__all__,
+    *thermo.__all__,
+    *xsec.__all__,
     "__version__",
 ]

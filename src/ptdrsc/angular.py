@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 from scipy.integrate import quad
 
-from .errors import ComplexBranch, DomainError
+from .errors import ComplexBranch, DomainError, check_finite, check_index, check_positive
 from .special import hyp2f1_terminating
 
 __all__ = [
@@ -64,9 +64,7 @@ def pt_parameter_from_strength(c: float) -> float:
     -1/4 <= c < 0, where chi lands in [1/2, 1) and the associated
     eigenfunction has a divergent derivative at the origin.
     """
-    c = float(c)
-    if not math.isfinite(c):
-        raise DomainError(f"strength must be finite, got {c!r}")
+    c = check_finite(c, "strength")
     disc = 1.0 + 4.0 * c
     if disc < -_BRANCH_TOL:
         raise ComplexBranch(
@@ -87,10 +85,8 @@ def _check_well(chi, lam, zeta, n_r):
         raise DomainError(f"chi must be >= 1/2, got {chi!r}")
     if not (lam >= 0.5 and math.isfinite(lam)):
         raise DomainError(f"lam must be >= 1/2, got {lam!r}")
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise DomainError(f"zeta must be positive, got {zeta!r}")
-    if n_r != int(n_r) or n_r < 0:
-        raise DomainError(f"n_r must be a non-negative integer, got {n_r!r}")
+    zeta = check_positive(zeta, "zeta")
+    n_r = check_index(n_r, "n_r")
     if chi < 1.0 or lam < 1.0:
         warnings.warn(
             f"well parameters (chi, lam) = ({chi!r}, {lam!r}) sit below the "
@@ -98,7 +94,7 @@ def _check_well(chi, lam, zeta, n_r):
             RuntimeWarning,
             stacklevel=3,
         )
-    return float(chi), float(lam), float(zeta), int(n_r)
+    return float(chi), float(lam), zeta, n_r
 
 
 def polar_eigenvalue(chi: float, lam: float, n_r: int, zeta: float = 1.0) -> float:
@@ -162,10 +158,8 @@ def degenerate_eigenvalue(lam: float, n_r: int, zeta: float = 1.0) -> float:
     """
     if not (lam >= 0.5 and math.isfinite(lam)):
         raise DomainError(f"lam must be >= 1/2, got {lam!r}")
-    if not (zeta > 0.0 and math.isfinite(zeta)):
-        raise DomainError(f"zeta must be positive, got {zeta!r}")
-    if n_r != int(n_r) or n_r < 0:
-        raise DomainError(f"n_r must be a non-negative integer, got {n_r!r}")
+    zeta = check_positive(zeta, "zeta")
+    n_r = check_index(n_r, "n_r")
     s = 0.5 * lam + n_r
     return 2.0 * zeta * zeta * s * s - 0.5 * zeta * zeta
 
@@ -192,8 +186,7 @@ def map_polar(A: float, B: float, m: float, E_plus_M: float) -> tuple:
     inversion raises ComplexBranch if either strength dips below -1/4.
     """
     for name, v in (("A", A), ("B", B), ("m", m), ("E_plus_M", E_plus_M)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+        check_finite(v, name)
     if A <= 0.0:
         raise DomainError(f"A must be positive, got {A!r}")
     if B < 0.0:
@@ -212,11 +205,9 @@ def map_azimuthal(C: float, D: float, alpha: int, E_plus_M: float) -> tuple:
     2(E+M) alpha^2 C(C-1) -> lam, with alpha the integer deformation
     index of the azimuthal angle.
     """
-    if alpha != int(alpha) or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
+    alpha = check_index(alpha, "alpha", least=1)
     for name, v in (("C", C), ("D", D), ("E_plus_M", E_plus_M)):
-        if not math.isfinite(v):
-            raise DomainError(f"{name} must be finite, got {v!r}")
+        check_finite(v, name)
     if C <= 0.0 or D <= 0.0:
         raise DomainError(f"C and D must be positive, got ({C!r}, {D!r})")
     if E_plus_M <= 0.0:
@@ -230,6 +221,5 @@ def map_azimuthal(C: float, D: float, alpha: int, E_plus_M: float) -> tuple:
 def azimuthal_m_squared(chi: float, lam: float, n_r: int, alpha: int) -> float:
     """Separation constant m^2 = E_{n_r} + alpha^2/2 fixed by the
     azimuthal eigencondition (zeta = alpha)."""
-    if alpha != int(alpha) or alpha < 1:
-        raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
+    alpha = check_index(alpha, "alpha", least=1)
     return polar_eigenvalue(chi, lam, n_r, zeta=float(alpha)) + 0.5 * float(alpha) ** 2

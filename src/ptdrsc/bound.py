@@ -13,7 +13,7 @@ closed form so the two can be confronted in tests.
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NoRoot
+from .errors import DomainError, NoRoot, check_index, check_positive
 
 __all__ = [
     "BoundLevel",
@@ -33,19 +33,21 @@ class BoundLevel:
     nonrel_energy: float
 
 
+# Cap on the halvings of the bisection bracket; the loop ends sooner
+# once the midpoint stops moving.
+_BISECTION_STEPS = 200
+
+
 def _check_quantum_numbers(n_r, ell):
-    if n_r != int(n_r) or n_r < 0:
-        raise DomainError(f"n_r must be a non-negative integer, got {n_r!r}")
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a non-negative integer, got {ell!r}")
-    return int(n_r), int(ell)
+    return check_index(n_r, "n_r"), check_index(ell, "ell")
 
 
 def _check_mass_coupling(M, coupling_delta):
-    if not (M > 0.0 and math.isfinite(M)):
-        raise DomainError(f"mass must be positive and finite, got {M!r}")
-    if not (coupling_delta > 0.0 and math.isfinite(coupling_delta)):
-        raise DomainError(f"coupling_delta must be positive, got {coupling_delta!r}")
+    return check_positive(M, "mass"), check_positive(coupling_delta, "coupling_delta")
+
+
+def _residual(E, M, coupling_delta, lam):
+    return lam * math.sqrt(M * M - E * E) - 2.0 * (E + M) * coupling_delta
 
 
 def energy_equation_residual(E: float, M: float, coupling_delta: float,
@@ -55,25 +57,23 @@ def energy_equation_residual(E: float, M: float, coupling_delta: float,
     Vanishes exactly at a bound level.  Defined for |E| < M only.
     """
     n_r, ell = _check_quantum_numbers(n_r, ell)
-    _check_mass_coupling(M, coupling_delta)
+    M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     E = float(E)
     if not abs(E) < M:
         raise DomainError(f"bound energies satisfy |E| < M, got E = {E!r}")
-    lam = 2 * n_r + 1 + 2 * ell
-    return lam * math.sqrt(M * M - E * E) - 2.0 * (E + M) * coupling_delta
+    return _residual(E, M, coupling_delta, 2 * n_r + 1 + 2 * ell)
 
 
 def bound_energy(M: float, coupling_delta: float, n_r: int, ell: int) -> float:
     """Closed-form level E = M(Λ² − 4δ²)/(Λ² + 4δ²), Λ = 2n_r + 1 + 2ℓ."""
     n_r, ell = _check_quantum_numbers(n_r, ell)
-    _check_mass_coupling(M, coupling_delta)
+    M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n_r + 1 + 2 * ell
     d2 = 4.0 * coupling_delta * coupling_delta
     return M * (lam * lam - d2) / (lam * lam + d2)
 
 
-def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int,
-                           iterations: int = 200) -> float:
+def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int) -> float:
     """Root of the pole-condition residual by bisection on (−M, M).
 
     The residual touches zero at E = −M, rises to a positive maximum at
@@ -82,25 +82,22 @@ def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int,
     brackets exactly one sign change.
     """
     n_r, ell = _check_quantum_numbers(n_r, ell)
-    _check_mass_coupling(M, coupling_delta)
+    M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n_r + 1 + 2 * ell
     lo = -2.0 * coupling_delta * M / math.sqrt(lam * lam + 4.0 * coupling_delta ** 2)
     hi = M * (1.0 - 1e-13)
-
-    def f(E):
-        return lam * math.sqrt(M * M - E * E) - 2.0 * (E + M) * coupling_delta
-
-    flo, fhi = f(lo), f(hi)
+    flo = _residual(lo, M, coupling_delta, lam)
+    fhi = _residual(hi, M, coupling_delta, lam)
     if not (flo > 0.0 > fhi):
         raise NoRoot(
             f"residual does not change sign on [{lo!r}, {hi!r}] "
             f"(f(lo) = {flo!r}, f(hi) = {fhi!r}); coupling too weak to bracket"
         )
-    for _ in range(iterations):
+    for _ in range(_BISECTION_STEPS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if f(mid) > 0.0:
+        if _residual(mid, M, coupling_delta, lam) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -115,17 +112,17 @@ def nonrel_energy(mu: float, coupling_delta: float, n: int, ell: int) -> float:
     index Λ = 2n + 2ℓ + 1).
     """
     n, ell = _check_quantum_numbers(n, ell)
-    if not (mu > 0.0 and math.isfinite(mu)):
-        raise DomainError(f"mu must be positive and finite, got {mu!r}")
+    mu, coupling_delta = _check_mass_coupling(mu, coupling_delta)
     lam = 2 * n + 1 + 2 * ell
     return -8.0 * mu * coupling_delta * coupling_delta / (lam * lam)
 
 
 def bound_level(M: float, coupling_delta: float, n_r: int, ell: int) -> BoundLevel:
     """Assemble a BoundLevel with both the exact and limiting energies."""
+    energy = bound_energy(M, coupling_delta, n_r, ell)  # validates
     return BoundLevel(
         n_r=int(n_r),
         ell=int(ell),
-        energy=bound_energy(M, coupling_delta, n_r, ell),
+        energy=energy,
         nonrel_energy=nonrel_energy(M, coupling_delta, n_r, ell),
     )

@@ -3,7 +3,28 @@
 Every error raised by the public API derives from :class:`PtdrscError`,
 so callers can catch one base class.  The CLI maps these onto exit
 codes: domain/usage problems are distinguished from numerical failures.
+
+The input rules shared by several modules live here too, as the checks
+:func:`check_index`, :func:`check_positive` and :func:`check_finite`;
+they raise :class:`DomainError` for inf and NaN as for any other bad
+value.  They are internal and not re-exported by the package.
 """
+
+import math
+
+__all__ = [
+    "PtdrscError",
+    "DomainError",
+    "PoleError",
+    "ParameterPole",
+    "ComplexBranch",
+    "NumericalError",
+    "NoConvergence",
+    "Overflow",
+    "RealnessViolation",
+    "NonIntegrable",
+    "NoRoot",
+]
 
 
 class PtdrscError(Exception):
@@ -48,3 +69,30 @@ class NonIntegrable(NumericalError):
 
 class NoRoot(NumericalError):
     """Root bracketing failed: no solution in the attainable range."""
+
+
+def check_index(value, name: str, least: int = 0) -> int:
+    """``value`` as an int, if it is a whole number >= ``least``.
+
+    inf and NaN are rejected before ``int()`` sees them, which would
+    raise a bare OverflowError or ValueError.
+    """
+    if not (math.isfinite(value) and value >= least and value == int(value)):
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """``value`` as a float, if it is finite and > 0."""
+    value = float(value)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
+def check_finite(value, name: str) -> float:
+    """``value`` as a float, if it is neither inf nor NaN."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+    return value

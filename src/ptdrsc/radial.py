@@ -17,7 +17,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, Overflow, RealnessViolation
+from .errors import (DomainError, Overflow, RealnessViolation, check_finite,
+                     check_index, check_positive)
 from .special import hyp1f1, log_gamma
 
 __all__ = [
@@ -81,16 +82,12 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
     Raises
     ------
     DomainError
-        If E ≤ M (bound regime — use the bound-state module), or if the
-        mass or coupling is not strictly positive.
+        If E ≤ M (bound regime — use the bound-state module), if E is
+        not finite, or if the mass or coupling is not positive and finite.
     """
-    M = float(M)
-    E = float(E)
-    coupling_delta = float(coupling_delta)
-    if not (M > 0.0 and math.isfinite(M)):
-        raise DomainError(f"mass must be positive and finite, got {M!r}")
-    if not (coupling_delta > 0.0 and math.isfinite(coupling_delta)):
-        raise DomainError(f"coupling_delta must be positive, got {coupling_delta!r}")
+    M = check_positive(M, "mass")
+    E = check_finite(E, "energy")
+    coupling_delta = check_positive(coupling_delta, "coupling_delta")
     if not (E > M):
         raise DomainError(
             f"scattering requires energy > mass (got E = {E!r}, M = {M!r}); "
@@ -101,15 +98,9 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
     return RelativisticContext(M, E, coupling_delta, k, eta)
 
 
-def _check_ell(ell: int) -> int:
-    if ell != int(ell) or ell < 0:
-        raise DomainError(f"ell must be a non-negative integer, got {ell!r}")
-    return int(ell)
-
-
 def phase_shift(ctx: RelativisticContext, ell: int) -> float:
     """Coulomb-like phase shift δ_ℓ = arg Γ(ℓ + 1/2 − iη), in (−π, π]."""
-    ell = _check_ell(ell)
+    ell = check_index(ell, "ell")
     raw = log_gamma(complex(ell + 0.5, -ctx.sommerfeld)).imag
     wrapped = (raw + math.pi) % _TWO_PI - math.pi
     if wrapped == -math.pi:
@@ -124,14 +115,14 @@ def short_range_phase_shift(ctx: RelativisticContext, ell: int,
     ``ell_prime`` is the orbital index of the comparison-free wave and
     defaults to ``ell`` itself.
     """
-    ell = _check_ell(ell)
-    ell_prime = ell if ell_prime is None else _check_ell(ell_prime)
+    ell = check_index(ell, "ell")
+    ell_prime = ell if ell_prime is None else check_index(ell_prime, "ell_prime")
     return phase_shift(ctx, ell) + math.pi * (ell_prime - ell + 0.5) / 2.0
 
 
 def log_normalization_constant(ctx: RelativisticContext, ell: int) -> float:
     """ln A_{kℓ}; always representable, offered for large-η work."""
-    ell = _check_ell(ell)
+    ell = check_index(ell, "ell")
     eta = ctx.sommerfeld
     return (
         (ell + 0.5) * math.log(2.0)
@@ -161,8 +152,8 @@ def normalization_constant(ctx: RelativisticContext, ell: int) -> float:
 
 def partial_wave(ctx: RelativisticContext, ell: int, ell_prime: int | None = None) -> PartialWave:
     """Assemble the PartialWave record for one channel (ℓ′ defaults to ℓ)."""
-    ell = _check_ell(ell)
-    lp = ell if ell_prime is None else _check_ell(ell_prime)
+    ell = check_index(ell, "ell")
+    lp = ell if ell_prime is None else check_index(ell_prime, "ell_prime")
     return PartialWave(
         ell=ell,
         phase_shift=phase_shift(ctx, ell),
@@ -173,10 +164,8 @@ def partial_wave(ctx: RelativisticContext, ell: int, ell_prime: int | None = Non
 
 def _regular_wave(ctx: RelativisticContext, ell: int, r: float, derivative: bool):
     """g_{kℓ}(r), and dg/dr from the ₁F₁ derivative if ``derivative``."""
-    ell = _check_ell(ell)
-    r = float(r)
-    if not (r > 0.0 and math.isfinite(r)):
-        raise DomainError(f"r must be positive and finite, got {r!r}")
+    ell = check_index(ell, "ell")
+    r = check_positive(r, "r")
     k = ctx.wave_number
     a = complex(ell + 0.5, -ctx.sommerfeld)
     b = complex(2 * ell + 1)
@@ -256,18 +245,18 @@ def scattering_amplitude(
         At the forward singularity θ = 0 (or any θ outside (0, π]).
     """
     theta = float(theta)
-    k = float(k)
+    k = check_positive(k, "wave number")
     if not (0.0 < theta <= math.pi):
         raise DomainError(
             f"theta must lie in (0, pi]; the forward direction is singular (got {theta!r})"
         )
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"wave number must be positive, got {k!r}")
     if smoothing not in _SMOOTHINGS:
         raise DomainError(f"smoothing must be one of {_SMOOTHINGS}, got {smoothing!r}")
     deltas = np.asarray(phase_shifts, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise DomainError("phase_shifts must be a non-empty 1-d sequence")
+    if not np.isfinite(deltas).all():
+        raise DomainError("phase_shifts must all be finite")
     L = deltas.size - 1
     m = np.arange(-L, L + 1)
     s = np.exp(2j * deltas[np.abs(m)]) - 1.0
@@ -287,12 +276,10 @@ def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:
     σ(θ) = α·tanh(πα) / (2k sin²(θ/2)), the analytic limit the
     partial-wave sum reproduces when fed phases arg Γ(|m|+1/2−iα).
     """
-    alpha = float(alpha)
-    k = float(k)
+    alpha = check_finite(alpha, "alpha")
+    k = check_positive(k, "wave number")
     theta = float(theta)
     if not (0.0 < theta <= math.pi):
         raise DomainError(f"theta must lie in (0, pi], got {theta!r}")
-    if not (k > 0.0 and math.isfinite(k)):
-        raise DomainError(f"wave number must be positive, got {k!r}")
     s = math.sin(0.5 * theta)
     return alpha * math.tanh(math.pi * alpha) / (2.0 * k * s * s)

@@ -33,6 +33,8 @@ from .errors import (
     Overflow,
     ParameterPole,
     PoleError,
+    check_finite,
+    check_index,
 )
 
 __all__ = [
@@ -308,11 +310,11 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
         the angular levels within the module contract where a
         term-by-term sum loses them to cancellation.
     """
-    if n < 0 or n != int(n):
-        raise DomainError(f"n must be a non-negative integer, got {n!r}")
+    n = check_index(n, "n")
+    b = check_finite(b, "b")
+    c = check_finite(c, "c")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    n = int(n)
     if n > 0 and round(c) <= 0 and abs(c - round(c)) <= _POLE_TOL:
         raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
     return float(_sc.hyp2f1(-n, b, c, x))
@@ -320,9 +322,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
 
 def dawson(x: float) -> float:
     """Dawson function F(x) = e^(−x²) ∫₀ˣ e^(t²) dt."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"dawson requires finite x, got {x!r}")
+    x = check_finite(x, "x")
     return float(_sc.dawsn(x))
 
 
@@ -335,9 +335,7 @@ def erfi(x: float) -> float:
         When e^(x²) exceeds the double-precision range; the error message
         carries the sign of the would-be infinity (Erfi is odd).
     """
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"erfi requires finite x, got {x!r}")
+    x = check_finite(x, "x")
     if abs(x) > _ERFI_OVERFLOW_X:
         sign = "+" if x > 0 else "-"
         raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")

@@ -18,7 +18,7 @@ from typing import Callable
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from .errors import DomainError, NonIntegrable, NoRoot
+from .errors import DomainError, NonIntegrable, NoRoot, check_positive
 
 __all__ = [
     "ScreenedRutherford",
@@ -52,12 +52,8 @@ class ScreenedRutherford:
     gamma_screen: float
 
     def __post_init__(self):
-        if not (self.phi > 0.0 and math.isfinite(self.phi)):
-            raise DomainError(f"phi must be positive and finite, got {self.phi!r}")
-        if not (self.gamma_screen > 0.0 and math.isfinite(self.gamma_screen)):
-            raise DomainError(
-                f"gamma_screen must be positive and finite, got {self.gamma_screen!r}"
-            )
+        check_positive(self.phi, "phi")
+        check_positive(self.gamma_screen, "gamma_screen")
 
 
 def _sphere_quad(dcs: Callable[[float], float], weight, lo: float, hi: float) -> float:
@@ -202,10 +198,8 @@ def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
     root-finding on log Gamma), after which Phi follows from the total.
     Raises NoRoot when the ratio falls outside the attainable band.
     """
-    if not (sigma_tot > 0.0 and math.isfinite(sigma_tot)):
-        raise DomainError(f"sigma_tot must be positive and finite, got {sigma_tot!r}")
-    if not (sigma_tr > 0.0 and math.isfinite(sigma_tr)):
-        raise DomainError(f"sigma_tr must be positive and finite, got {sigma_tr!r}")
+    sigma_tot = check_positive(sigma_tot, "sigma_tot")
+    sigma_tr = check_positive(sigma_tr, "sigma_tr")
     ratio = sigma_tr / sigma_tot
 
     def h(log10_gamma):

@@ -1,0 +1,192 @@
+"""Typed errors at every entry point, and the package's public names.
+
+Each public function that takes an integer index or a float parameter
+is fed the bad values of that parameter's rule and must raise
+DomainError: never a bare OverflowError or ValueError from int(), and
+never a silent NaN or a wrong number.
+"""
+
+import math
+
+import pytest
+
+import ptdrsc
+from ptdrsc import angular, bound, radial, special, thermo, xsec
+from ptdrsc.errors import DomainError
+
+INF = math.inf
+NAN = math.nan
+
+# Bad values per input rule.
+BAD = {
+    "index": (INF, NAN, 1.5, -1),
+    "index_from_1": (INF, NAN, 1.5, 0),
+    "positive": (NAN, INF, -1.0),
+    "finite": (NAN, INF, -INF),
+    "interval": (NAN, INF),
+}
+
+CTX = radial.make_context(1.0, 1.5, 1.0)
+STATE = thermo.ThermoState(beta=1.0, xi=2.0, tau=1.0)
+
+# (label, rule, call): the call's default argument is a valid value, and
+# each bad value of the rule is passed in its place.
+CASES = [
+    ("make_context.M", "positive", lambda v=1.0: radial.make_context(v, 1.5, 1.0)),
+    ("make_context.E", "finite", lambda v=1.5: radial.make_context(1.0, v, 1.0)),
+    ("make_context.delta", "positive", lambda v=1.0: radial.make_context(1.0, 1.5, v)),
+    ("phase_shift.ell", "index", lambda v=1: radial.phase_shift(CTX, v)),
+    ("short_range_phase_shift.ell", "index", lambda v=1: radial.short_range_phase_shift(CTX, v)),
+    ("short_range_phase_shift.ell_prime", "index",
+     lambda v=1: radial.short_range_phase_shift(CTX, 1, v)),
+    ("log_normalization_constant.ell", "index",
+     lambda v=1: radial.log_normalization_constant(CTX, v)),
+    ("normalization_constant.ell", "index", lambda v=1: radial.normalization_constant(CTX, v)),
+    ("partial_wave.ell", "index", lambda v=1: radial.partial_wave(CTX, v)),
+    ("partial_wave.ell_prime", "index", lambda v=1: radial.partial_wave(CTX, 1, v)),
+    ("radial_wavefunction.ell", "index", lambda v=1: radial.radial_wavefunction(CTX, v, 1.0)),
+    ("radial_wavefunction.r", "positive", lambda v=1.0: radial.radial_wavefunction(CTX, 1, v)),
+    ("radial_wavefunction_with_derivative.ell", "index",
+     lambda v=1: radial.radial_wavefunction_with_derivative(CTX, v, 1.0)),
+    ("radial_wavefunction_with_derivative.r", "positive",
+     lambda v=1.0: radial.radial_wavefunction_with_derivative(CTX, 1, v)),
+    ("scattering_amplitude.phase_shifts", "finite",
+     lambda v=0.3: radial.scattering_amplitude([v, 0.1, 0.2], 1.0, 1.0)),
+    ("scattering_amplitude.theta", "interval",
+     lambda v=1.0: radial.scattering_amplitude([0.3, 0.1], v, 1.0)),
+    ("scattering_amplitude.k", "positive",
+     lambda v=1.0: radial.scattering_amplitude([0.3, 0.1], 1.0, v)),
+    ("coulomb_cross_section.alpha", "finite",
+     lambda v=1.0: radial.coulomb_cross_section(v, 1.0, 1.0)),
+    ("coulomb_cross_section.k", "positive",
+     lambda v=1.0: radial.coulomb_cross_section(1.0, v, 1.0)),
+    ("coulomb_cross_section.theta", "interval",
+     lambda v=1.0: radial.coulomb_cross_section(1.0, 1.0, v)),
+    ("energy_equation_residual.E", "interval",
+     lambda v=0.0: bound.energy_equation_residual(v, 1.0, 0.5, 0, 0)),
+    ("energy_equation_residual.M", "positive",
+     lambda v=1.0: bound.energy_equation_residual(0.0, v, 0.5, 0, 0)),
+    ("energy_equation_residual.delta", "positive",
+     lambda v=0.5: bound.energy_equation_residual(0.0, 1.0, v, 0, 0)),
+    ("energy_equation_residual.n_r", "index",
+     lambda v=1: bound.energy_equation_residual(0.0, 1.0, 0.5, v, 0)),
+    ("energy_equation_residual.ell", "index",
+     lambda v=1: bound.energy_equation_residual(0.0, 1.0, 0.5, 0, v)),
+    *((f"{fn.__name__}.{name}", rule, call)
+      for fn in (bound.bound_energy, bound.bound_energy_bisection,
+                 bound.nonrel_energy, bound.bound_level)
+      for name, rule, call in (
+          ("M", "positive", lambda v=1.0, fn=fn: fn(v, 0.5, 1, 0)),
+          ("delta", "positive", lambda v=0.5, fn=fn: fn(1.0, v, 1, 0)),
+          ("n_r", "index", lambda v=1, fn=fn: fn(1.0, 0.5, v, 0)),
+          ("ell", "index", lambda v=0, fn=fn: fn(1.0, 0.5, 1, v)),
+      )),
+    ("pt_parameter_from_strength.c", "finite",
+     lambda v=2.0: angular.pt_parameter_from_strength(v)),
+    *((f"{fn.__name__}.{name}", rule, call)
+      for fn in (angular.polar_eigenvalue, angular.polar_solution)
+      for name, rule, call in (
+          ("chi", "interval", lambda v=2.0, fn=fn: fn(v, 3.0, 1)),
+          ("lam", "interval", lambda v=3.0, fn=fn: fn(2.0, v, 1)),
+          ("n_r", "index", lambda v=1, fn=fn: fn(2.0, 3.0, v)),
+          ("zeta", "positive", lambda v=1.0, fn=fn: fn(2.0, 3.0, 1, v)),
+      )),
+    ("polar_eigenfunction.q", "interval",
+     lambda v=0.5: angular.polar_eigenfunction(v, 2.0, 3.0, 1)),
+    ("polar_eigenfunction.n_r", "index",
+     lambda v=1: angular.polar_eigenfunction(0.5, 2.0, 3.0, v)),
+    *((f"{fn.__name__}.{name}", rule, call)
+      for fn in (angular.degenerate_eigenvalue, angular.degenerate_solution)
+      for name, rule, call in (
+          ("lam", "interval", lambda v=3.0, fn=fn: fn(v, 1)),
+          ("n_r", "index", lambda v=1, fn=fn: fn(3.0, v)),
+          ("zeta", "positive", lambda v=1.0, fn=fn: fn(3.0, 1, v)),
+      )),
+    ("degenerate_eigenfunction.q", "interval",
+     lambda v=0.5: angular.degenerate_eigenfunction(v, 3.0, 1)),
+    ("map_polar.A", "finite", lambda v=2.0: angular.map_polar(v, 1.0, 1.0, 2.0)),
+    ("map_polar.B", "finite", lambda v=1.0: angular.map_polar(2.0, v, 1.0, 2.0)),
+    ("map_polar.m", "finite", lambda v=1.0: angular.map_polar(2.0, 1.0, v, 2.0)),
+    ("map_polar.E_plus_M", "finite", lambda v=2.0: angular.map_polar(2.0, 1.0, 1.0, v)),
+    ("map_azimuthal.C", "finite", lambda v=2.0: angular.map_azimuthal(v, 2.0, 1, 2.0)),
+    ("map_azimuthal.D", "finite", lambda v=2.0: angular.map_azimuthal(2.0, v, 1, 2.0)),
+    ("map_azimuthal.alpha", "index_from_1", lambda v=1: angular.map_azimuthal(2.0, 2.0, v, 2.0)),
+    ("map_azimuthal.E_plus_M", "finite", lambda v=2.0: angular.map_azimuthal(2.0, 2.0, 1, v)),
+    ("azimuthal_m_squared.chi", "interval",
+     lambda v=2.0: angular.azimuthal_m_squared(v, 3.0, 1, 1)),
+    ("azimuthal_m_squared.n_r", "index", lambda v=1: angular.azimuthal_m_squared(2.0, 3.0, v, 1)),
+    ("azimuthal_m_squared.alpha", "index_from_1",
+     lambda v=1: angular.azimuthal_m_squared(2.0, 3.0, 1, v)),
+    ("log_gamma.z", "finite", lambda v=1.5: special.log_gamma(v)),
+    ("hyp1f1.a", "finite", lambda v=0.5: special.hyp1f1(v, 1.0, 1.0)),
+    ("hyp1f1.b", "finite", lambda v=1.0: special.hyp1f1(0.5, v, 1.0)),
+    ("hyp1f1.z", "finite", lambda v=1.0: special.hyp1f1(0.5, 1.0, v)),
+    ("hyp2f1_terminating.n", "index", lambda v=1: special.hyp2f1_terminating(v, 2.5, 3.5, 0.3)),
+    ("hyp2f1_terminating.b", "finite", lambda v=2.5: special.hyp2f1_terminating(3, v, 3.5, 0.3)),
+    ("hyp2f1_terminating.c", "finite", lambda v=3.5: special.hyp2f1_terminating(3, 2.5, v, 0.3)),
+    ("hyp2f1_terminating.x", "interval", lambda v=0.3: special.hyp2f1_terminating(3, 2.5, 3.5, v)),
+    ("dawson.x", "finite", lambda v=1.0: special.dawson(v)),
+    ("erfi.x", "finite", lambda v=1.0: special.erfi(v)),
+    ("ThermoState.beta", "positive", lambda v=1.0: thermo.ThermoState(beta=v, xi=2.0, tau=1.0)),
+    ("ThermoState.xi", "finite", lambda v=2.0: thermo.ThermoState(beta=1.0, xi=v, tau=1.0)),
+    ("ThermoState.tau", "positive", lambda v=1.0: thermo.ThermoState(beta=1.0, xi=2.0, tau=v)),
+    ("ThermoState.boltzmann_k", "positive",
+     lambda v=1.0: thermo.ThermoState(beta=1.0, xi=2.0, tau=1.0, boltzmann_k=v)),
+    ("partition_sum.n_max", "index", lambda v=1: thermo.partition_sum(STATE, v)),
+    ("ScreenedRutherford.phi", "positive", lambda v=1.0: xsec.ScreenedRutherford(v, 0.5)),
+    ("ScreenedRutherford.gamma_screen", "positive", lambda v=0.5: xsec.ScreenedRutherford(1.0, v)),
+    ("fit_screened.sigma_tot", "positive", lambda v=2.0: xsec.fit_screened(v, 1.0)),
+    ("fit_screened.sigma_tr", "positive", lambda v=1.0: xsec.fit_screened(2.0, v)),
+    ("mean_wide_angle_collisions.number_density", "positive",
+     lambda v=1.0: xsec.mean_wide_angle_collisions(v, 1.0, 1.0)),
+    ("scatter_probability.theta", "interval",
+     lambda v=1.0: xsec.scatter_probability(lambda t: 1.0, v)),
+    ("screened_rutherford_dcs.theta", "interval",
+     lambda v=1.0: xsec.screened_rutherford_dcs(xsec.ScreenedRutherford(1.0, 0.5), v)),
+]
+
+
+@pytest.mark.parametrize("label,rule,call", CASES, ids=[case[0] for case in CASES])
+def test_valid_arguments_pass(label, rule, call):
+    # the valid call each bad-value case perturbs is itself accepted
+    value = call()
+    assert not (isinstance(value, float) and math.isnan(value))
+
+
+@pytest.mark.parametrize(
+    "label,value,call",
+    [(label, v, call) for label, rule, call in CASES for v in BAD[rule]],
+    ids=[f"{label}={v!r}" for label, rule, _ in CASES for v in BAD[rule]],
+)
+def test_bad_input_raises_domain_error(label, value, call):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+def test_public_names():
+    assert set(ptdrsc.__all__) == {
+        "AngularSolution", "BoundLevel", "ComplexBranch", "DomainError",
+        "NoConvergence", "NoRoot", "NonIntegrable", "NumericalError", "Overflow",
+        "ParameterPole", "PartialWave", "PoleError", "PtdrscError",
+        "RealnessViolation", "RelativisticContext", "ScreenedRutherford",
+        "ThermoState", "__version__", "azimuthal_m_squared",
+        "backward_probability", "bound_energy", "bound_energy_bisection",
+        "bound_level", "coulomb_cross_section", "dawson",
+        "degenerate_eigenfunction", "degenerate_eigenvalue",
+        "degenerate_solution", "energy_equation_residual", "entropy", "erfi",
+        "fit_screened", "forward_probability", "free_energy", "hyp1f1",
+        "hyp2f1_terminating", "log_gamma", "log_normalization_constant",
+        "log_partition_function", "make_context", "map_azimuthal", "map_polar",
+        "mean_energy", "mean_wide_angle_collisions", "nonrel_energy",
+        "normalization_constant", "partial_wave", "partition_function",
+        "partition_sum", "phase_shift", "polar_eigenfunction",
+        "polar_eigenvalue", "polar_solution", "pt_parameter_from_strength",
+        "radial_wavefunction", "radial_wavefunction_with_derivative",
+        "scatter_probability", "scattering_amplitude", "screened_rutherford_dcs",
+        "screened_sigma_total", "screened_sigma_transport",
+        "screened_transport_ratio", "short_range_phase_shift", "sigma_total",
+        "sigma_transport", "specific_heat", "transport_ratio",
+    }
+    assert len(ptdrsc.__all__) == len(set(ptdrsc.__all__))
+    for name in ptdrsc.__all__:
+        assert hasattr(ptdrsc, name), name

@@ -175,6 +175,26 @@ def test_hyp1f1_small_z_against_scipy():
         assert _rel(hyp1f1(a, b, z).real, want) < 1e-9
 
 
+def test_hyp1f1_matches_mpmath_over_contract_disk():
+    # seeded points with |z| <= 50: the physical Coulomb-wave arguments
+    # a = l + 1/2 - i eta, b = 2l + 1, z = -2ikr, then generic complex ones
+    rng = np.random.default_rng(20201005)
+    points = []
+    for _ in range(400):
+        ell = int(rng.integers(0, 11))
+        points.append((complex(ell + 0.5, -rng.uniform(-5.0, 5.0)),
+                       complex(2 * ell + 1),
+                       complex(0.0, -2.0 * rng.uniform(0.0, 25.0))))
+    for _ in range(400):
+        points.append((complex(*rng.uniform(-10.0, 10.0, 2)),
+                       complex(rng.uniform(0.5, 10.0), rng.uniform(-10.0, 10.0)),
+                       cmath.rect(rng.uniform(0.0, 50.0), rng.uniform(-math.pi, math.pi))))
+    with mpmath.workdps(40):
+        for a, b, z in points:
+            want = complex(mpmath.hyp1f1(a, b, z))
+            assert _rel(hyp1f1(a, b, z), want) <= 1e-10, (a, b, z)
+
+
 def test_hyp1f1_unit_value_at_origin():
     assert hyp1f1(0.5 - 1.0j, 1.0, 0.0) == 1.0 + 0.0j
 
