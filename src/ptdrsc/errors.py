@@ -75,8 +75,11 @@ def check_index(value, name: str, least: int = 0) -> int:
     """``value`` as an int, if it is a whole number >= ``least``.
 
     inf and NaN are rejected before ``int()`` sees them, which would
-    raise a bare OverflowError or ValueError.
+    raise a bare OverflowError or ValueError.  A plain int skips the
+    float tests: the level quadratures make hundreds of checked calls.
     """
+    if type(value) is int and value >= least:
+        return value
     if not (math.isfinite(value) and value >= least and value == int(value)):
         raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(value)

@@ -315,7 +315,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
     c = check_finite(c, "c")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if n > 0 and round(c) <= 0 and abs(c - round(c)) <= _POLE_TOL:
+    if n > 0 and c <= _POLE_TOL and abs(c - round(c)) <= _POLE_TOL:
         raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
     return float(_sc.hyp2f1(-n, b, c, x))
 
