@@ -24,8 +24,7 @@ All operations are pure and hold no mutable state.
 import cmath
 import math
 
-import mpmath
-import scipy.special as _sc
+import scipy
 
 from .errors import (
     DomainError,
@@ -89,7 +88,7 @@ def log_gamma(z) -> complex:
     nearest = round(z.real)
     if nearest <= 0 and abs(z - nearest) <= _POLE_TOL:
         raise PoleError(f"log_gamma pole at z = {int(nearest)} (got {z!r})")
-    return complex(_sc.loggamma(z))
+    return complex(scipy.special.loggamma(z))
 
 
 def _series_f64(a: complex, b: complex, z: complex):
@@ -129,6 +128,10 @@ def _series_mp(a: complex, b: complex, z: complex, dps: int) -> complex:
     provisioned precision (the double-precision estimate can be fooled
     when the returned value is itself below the cancellation noise).
     """
+    # Imported here: only this rescue needs mpmath, whose import costs
+    # every run ~0.1 s, while a rescue call costs milliseconds anyway.
+    import mpmath
+
     for _ in range(4):
         with mpmath.workdps(dps):
             am, bm, zm = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z)
@@ -309,6 +312,11 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
         The polynomial value from ``scipy.special.hyp2f1``, which keeps
         the angular levels within the module contract where a
         term-by-term sum loses them to cancellation.
+
+    Raises
+    ------
+    NoConvergence
+        If scipy returns inf or NaN, as it does at very large n.
     """
     n = check_index(n, "n")
     b = check_finite(b, "b")
@@ -317,13 +325,16 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if n > 0 and c <= _POLE_TOL and abs(c - round(c)) <= _POLE_TOL:
         raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
-    return float(_sc.hyp2f1(-n, b, c, x))
+    val = float(scipy.special.hyp2f1(-n, b, c, x))
+    if not math.isfinite(val):
+        raise NoConvergence(f"hyp2f1_terminating({n!r}, {b!r}, {c!r}, {x!r}) came out {val!r}")
+    return val
 
 
 def dawson(x: float) -> float:
     """Dawson function F(x) = e^(−x²) ∫₀ˣ e^(t²) dt."""
     x = check_finite(x, "x")
-    return float(_sc.dawsn(x))
+    return float(scipy.special.dawsn(x))
 
 
 def erfi(x: float) -> float:
@@ -339,7 +350,7 @@ def erfi(x: float) -> float:
     if abs(x) > _ERFI_OVERFLOW_X:
         sign = "+" if x > 0 else "-"
         raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")
-    val = float(_sc.erfi(x))
+    val = float(scipy.special.erfi(x))
     if not math.isfinite(val):  # pragma: no cover - guarded above
         sign = "+" if x > 0 else "-"
         raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")

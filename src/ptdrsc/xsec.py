@@ -15,8 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from scipy.integrate import quad
-from scipy.optimize import brentq
+import scipy
 
 from .errors import DomainError, NonIntegrable, NoRoot, check_positive
 
@@ -63,8 +62,8 @@ def _sphere_quad(dcs: Callable[[float], float], weight, lo: float, hi: float) ->
         return dcs(theta) * weight(theta) * math.sin(theta)
 
     try:
-        result = quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
-                      limit=200, full_output=1)
+        result = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
+                                      limit=200, full_output=1)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise NonIntegrable(f"cross-section quadrature failed: {exc}") from exc
     value, abserr = result[0], result[1]
@@ -212,7 +211,7 @@ def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
             f"({_ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_LO)!r}, "
             f"{_ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_HI)!r}) of the model"
         )
-    log10_gamma = brentq(h, _FIT_LOG_LO, _FIT_LOG_HI, xtol=1e-14, rtol=8.9e-16)
+    log10_gamma = scipy.optimize.brentq(h, _FIT_LOG_LO, _FIT_LOG_HI, xtol=1e-14, rtol=8.9e-16)
     gamma = 10.0 ** log10_gamma
     phi = sigma_tot * gamma * (gamma + 2.0) / (4.0 * math.pi)
     return ScreenedRutherford(phi=phi, gamma_screen=gamma)

@@ -140,16 +140,37 @@ def test_high_polar_levels_match_mpmath(chi, lam, n_r):
     assert worst <= 1e-10 * peak, worst / peak
 
 
+def _norm_by_quad(sol):
+    """Second route to the closed-form norm: integral of H^2 by quad."""
+    upper = math.pi / (2.0 * sol.zeta)
+    val, _ = scipy.integrate.quad(lambda q: sol.evaluator(q) ** 2, 0.0, upper,
+                                  epsabs=0.0, epsrel=1e-12, limit=200)
+    return val
+
+
+# (chi, lam, zeta): the regular well, chi = lam = 1/2, chi = 1/2 with zeta != 1,
+# and wide and narrow wells
+WELLS = [(2.0, 3.0, 1.0), (0.5, 0.5, 1.0), (0.5, 2.0, 2.0), (3.7, 1.5, 0.5),
+         (6.0, 0.5, 3.0)]
+
+
 @pytest.mark.filterwarnings("ignore::UserWarning")  # quad roundoff on ~0 integrals
-def test_polar_levels_are_orthonormal():
-    chi, lam = 2.0, 3.0
-    sols = [polar_solution(chi, lam, n) for n in range(4)]
+@pytest.mark.parametrize("chi,lam,zeta", WELLS)
+def test_polar_levels_are_orthonormal(chi, lam, zeta):
+    if chi < 1.0 or lam < 1.0:
+        with pytest.warns(RuntimeWarning):
+            sols = [polar_solution(chi, lam, n, zeta) for n in range(31)]
+    else:
+        sols = [polar_solution(chi, lam, n, zeta) for n in range(31)]
+    for sol in sols:
+        assert abs(_norm_by_quad(sol) - 1.0) < 1e-10, sol.n_r
+    upper = math.pi / (2.0 * zeta)
     for i in range(4):
-        for j in range(i, 4):
+        for j in range(i + 1, 4):
             val, _ = scipy.integrate.quad(
                 lambda q: sols[i].evaluator(q) * sols[j].evaluator(q),
-                0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11, limit=200)
-            assert abs(val - (1.0 if i == j else 0.0)) < 1e-8
+                0.0, upper, epsabs=0.0, epsrel=1e-11, limit=200)
+            assert abs(val) < 1e-8
 
 
 def test_degenerate_family():
@@ -160,9 +181,11 @@ def test_degenerate_family():
     # regular and nonzero at the origin, zero at the far wall
     assert abs(sol.evaluator(0.0)) > 0.1
     assert abs(sol.evaluator(0.5 * math.pi)) < 1e-10
-    norm, _ = scipy.integrate.quad(lambda q: sol.evaluator(q) ** 2,
-                                   0.0, 0.5 * math.pi, epsabs=0.0, epsrel=1e-11)
-    assert norm == pytest.approx(1.0, rel=1e-9)
+    for lam in (0.5, 3.0, 7.5):
+        for zeta in (1.0, 2.0):
+            for n_r in range(31):
+                norm = _norm_by_quad(degenerate_solution(lam, n_r, zeta))
+                assert abs(norm - 1.0) < 1e-10, (lam, zeta, n_r)
 
 
 def test_degenerate_eigenfunction_satisfies_ode():

@@ -39,6 +39,33 @@ def run_cli(*argv, check=False):
     return result
 
 
+# Loaded on first use only; importing the package or running a command
+# that needs none of them must leave them out of sys.modules.
+HEAVY_MODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "mpmath")
+
+
+@pytest.mark.parametrize("argv", [
+    None,
+    GOLDEN_CASES["bound_states.csv"],
+    GOLDEN_CASES["angular.json"],
+], ids=["import", "bound-states", "angular"])
+def test_cold_start_leaves_heavy_modules_unloaded(argv):
+    if argv is None:
+        code = "import ptdrsc"
+    else:
+        code = ("import runpy\n"
+                f"sys.argv = ['ptdrsc', *{argv!r}]\n"
+                "try:\n"
+                "    runpy.run_module('ptdrsc', run_name='__main__', alter_sys=True)\n"
+                "except SystemExit as exc:\n"
+                "    assert not exc.code, exc.code\n")
+    code = ("import sys\n" + code
+            + f"\nprint(sorted(set({HEAVY_MODULES!r}) & set(sys.modules)), file=sys.stderr)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr.decode().splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN_CASES))
 def test_golden_outputs_are_reproduced_byte_for_byte(name):
     want = (GOLDEN_DIR / name).read_bytes()

@@ -3,7 +3,8 @@
 Each public function that takes an integer index or a float parameter
 is fed the bad values of that parameter's rule and must raise
 DomainError: never a bare OverflowError or ValueError from int(), and
-never a silent NaN or a wrong number.
+never a silent NaN or a wrong number.  Valid but extreme inputs whose
+result cannot be computed in double precision raise NumericalError.
 """
 
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import ptdrsc
 from ptdrsc import angular, bound, radial, special, thermo, xsec
-from ptdrsc.errors import DomainError
+from ptdrsc.errors import DomainError, NumericalError
 
 INF = math.inf
 NAN = math.nan
@@ -161,6 +162,22 @@ def test_valid_arguments_pass(label, rule, call):
 def test_bad_input_raises_domain_error(label, value, call):
     with pytest.raises(DomainError):
         call(value)
+
+
+# Valid inputs whose result scipy cannot evaluate or double range cannot hold.
+EXTREME_CASES = [
+    ("hyp2f1_terminating(n=10**6)", lambda: special.hyp2f1_terminating(10**6, 2.5, 3.5, 0.3)),
+    ("degenerate_eigenvalue(zeta=1e308)", lambda: angular.degenerate_eigenvalue(3.0, 1, 1e308)),
+    ("polar_eigenvalue(zeta=1e308)", lambda: angular.polar_eigenvalue(2.0, 3.0, 1, 1e308)),
+    ("polar_solution(n_r=10**5).evaluator",
+     lambda: angular.polar_solution(2.0, 3.0, 10**5).evaluator(0.7)),
+]
+
+
+@pytest.mark.parametrize("label,call", EXTREME_CASES, ids=[case[0] for case in EXTREME_CASES])
+def test_extreme_input_raises_numerical_error(label, call):
+    with pytest.raises(NumericalError):
+        call()
 
 
 def test_public_names():
