@@ -1,21 +1,22 @@
 """Alternating parent/change pairs of the benchmark, summarized into one BENCH file.
 
-    python3 tools/bench_pairs.py --base PARENT_REV [--head REV] [--pairs 10] \
-        [--seconds 20] [--workload NAME ...] [--seed 1] --out BENCH_N.json
+    python3 tools/bench_pairs.py --base PARENT_REV --out BENCH_N.json
 
-Run from the root of a checkout.  The committed files of each revision are
-exported with ``git archive`` into a fresh temporary directory, so both
-sides run the benchmark exactly as committed and the working tree is not
-touched.  For every pair and workload, ``python3 perfbench/run.py`` runs once
-on each side with the same seed; the side that runs first alternates from
-pair to pair.  Seeds are ``--seed``, ``--seed + 1``, ... per pair.
+Run from the root of a checkout.  The committed files of ``PARENT_REV`` and
+of ``HEAD`` are exported with ``git archive`` into a fresh temporary
+directory, so both sides run the benchmark exactly as committed and the
+working tree is not touched.  For each of ``PAIRS`` pairs and every workload,
+``python3 perfbench/run.py`` runs once on each side with the same seed; the
+side that runs first alternates from pair to pair.  Pair ``i`` uses seed
+``FIRST_SEED + i``.  The workloads, the run length and the metric names with
+their better direction come from the parent's BENCHMARK.json, so both sides
+run the one benchmark definition.
 
 The output holds every run's end-to-end metrics, its ``correct``,
 ``attempted`` and ``failed`` counts, and per workload and metric each side's
 median and quartiles and the number of pairs the change wins (ties count for
 neither side).  The file is rewritten after every pair, so an interrupted
-session keeps the pairs it finished.  Metric names and their better
-direction come from BENCHMARK.json.
+session keeps the pairs it finished.
 """
 
 import argparse
@@ -32,6 +33,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+HEAD = "HEAD"
+PAIRS = 10
+FIRST_SEED = 1
 
 
 def git(*args):
@@ -92,35 +96,28 @@ def summarize(runs, metrics):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="parent revision")
-    parser.add_argument("--head", default="HEAD", help="changed revision (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, help="run length (default: BENCHMARK.json)")
-    parser.add_argument("--workload", action="append",
-                        help="workload to run, repeatable (default: all in BENCHMARK.json)")
-    parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
-    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
-    workloads = args.workload or [w["name"] for w in spec["workloads"]]
-    seconds = args.seconds or spec["run_seconds"]
-    revs = {"parent": git("rev-parse", args.base), "change": git("rev-parse", args.head)}
-    result = {
-        "revisions": revs,
-        "seconds": seconds,
-        "host": {"python": platform.python_version(), "machine": platform.machine(),
-                 "cpus": len(os.sched_getaffinity(0))},
-        "workloads": {w: {"runs": [], "summary": {}} for w in workloads},
-    }
-
+    revs = {"parent": git("rev-parse", args.base), "change": git("rev-parse", HEAD)}
     tmp = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         checkouts = {side: tmp / side for side in SIDES}
         for side in SIDES:
             export(revs[side], checkouts[side])
-        for pair in range(args.pairs):
-            seed = args.seed + pair
+        spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
+        metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        workloads = [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
+        result = {
+            "revisions": revs,
+            "seconds": seconds,
+            "host": {"python": platform.python_version(), "machine": platform.machine(),
+                     "cpus": len(os.sched_getaffinity(0))},
+            "workloads": {w: {"runs": [], "summary": {}} for w in workloads},
+        }
+        for pair in range(PAIRS):
+            seed = FIRST_SEED + pair
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for workload in workloads:
                 run = {"pair": pair, "seed": seed, "first": order[0]}
