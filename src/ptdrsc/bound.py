@@ -104,17 +104,17 @@ def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int) 
     return 0.5 * (lo + hi)
 
 
-def nonrel_energy(mu: float, coupling_delta: float, n: int, ell: int) -> float:
-    """Nonrelativistic limit E_nℓ = −8μδ²/(2n + 2ℓ + 1)².
+def nonrel_energy(M: float, coupling_delta: float, n: int, ell: int) -> float:
+    """Nonrelativistic limit E_nℓ = −8Mδ²/(2n + 2ℓ + 1)².
 
-    This is what expanding the closed form with E + M ≈ 2μ actually
+    This is what expanding the closed form with E + M ≈ 2M actually
     yields (the Coulomb-like spectrum in the half-odd-integer principal
     index Λ = 2n + 2ℓ + 1).
     """
     n, ell = _check_quantum_numbers(n, ell)
-    mu, coupling_delta = _check_mass_coupling(mu, coupling_delta)
+    M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n + 1 + 2 * ell
-    return -8.0 * mu * coupling_delta * coupling_delta / (lam * lam)
+    return -8.0 * M * coupling_delta * coupling_delta / (lam * lam)
 
 
 def bound_level(M: float, coupling_delta: float, n_r: int, ell: int) -> BoundLevel:

@@ -235,11 +235,9 @@ def _run_wavefunction(v) -> Tuple[List[str], list]:
 def _run_cross_section(v) -> Tuple[List[str], list]:
     ctx = radial.make_context(v["mass"], v["energy"], v["delta"])
     shifts = [radial.phase_shift(ctx, ell) for ell in range(v["lmax"] + 1)]
-    rows = []
-    for theta in v["theta"]:
-        amp = radial.scattering_amplitude(shifts, theta, ctx.wave_number,
-                                          smoothing=v["smoothing"])
-        rows.append((theta, abs(amp) ** 2))
+    amps = radial.scattering_amplitude(shifts, v["theta"], ctx.wave_number,
+                                       smoothing=v["smoothing"])
+    rows = [(theta, abs(amp) ** 2) for theta, amp in zip(v["theta"], amps)]
     return ["theta_rad", "dcs"], rows
 
 

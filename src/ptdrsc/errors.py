@@ -71,17 +71,23 @@ class NoRoot(NumericalError):
     """Root bracketing failed: no solution in the attainable range."""
 
 
-def check_index(value, name: str, least: int = 0) -> int:
-    """``value`` as an int, if it is a whole number >= ``least``.
+# The largest whole number a float holds exactly.
+_INDEX_MAX = 2**53
 
-    inf and NaN are rejected before ``int()`` sees them, which would
-    raise a bare OverflowError or ValueError.  A plain int skips the
-    float tests: the level quadratures make hundreds of checked calls.
+
+def check_index(value, name: str, least: int = 0) -> int:
+    """``value`` as an int, if it is a whole number in [``least``, 2**53].
+
+    2**53 is the largest whole number a float holds exactly; above it
+    ``int()`` of a float and the float arithmetic of the callers would
+    raise a bare OverflowError.  The range test comes first, so inf and
+    NaN never reach ``int()``.  A plain int skips the float test: the
+    level quadratures make hundreds of checked calls.
     """
-    if type(value) is int and value >= least:
+    if type(value) is int and least <= value <= _INDEX_MAX:
         return value
-    if not (math.isfinite(value) and value >= least and value == int(value)):
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    if not (least <= value <= _INDEX_MAX and value == int(value)):
+        raise DomainError(f"{name} must be an integer in [{least}, 2**53], got {value!r}")
     return int(value)
 
 

@@ -12,6 +12,7 @@ asymptotic amplitude is exactly 2 and the phase shift is the argument of
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,6 +40,8 @@ __all__ = [
 _TWO_PI = 2.0 * math.pi
 _REALNESS_TOL = 1e-8
 _SMOOTHINGS = ("none", "abel", "cesaro")
+# Largest |δ| for which 2δ, the argument of e^(2iδ), is still finite.
+_MAX_PHASE = sys.float_info.max / 2.0
 
 
 @dataclass(frozen=True)
@@ -215,38 +218,47 @@ def radial_wavefunction_with_derivative(
 
 def scattering_amplitude(
     phase_shifts,
-    theta: float,
+    theta,
     k: float,
     smoothing: str = "abel",
-) -> complex:
+):
     """Partial-wave amplitude f(θ) from channel phase shifts.
 
     Parameters
     ----------
     phase_shifts : sequence of float
-        δ_|m| for |m| = 0 … L; the sum runs over the symmetric integer
-        index m ∈ [−L, L] with δ_m = δ_{|m|}.
-    theta : float
-        Scattering angle in (0, π].
+        δ_ℓ for ℓ = 0 … L, each with |δ_ℓ| ≤ ``sys.float_info.max``/2;
+        the sum runs over the symmetric integer index m ∈ [−L, L] with
+        δ_m = δ_|m|.
+    theta : float or 1-d array of float
+        Scattering angle(s), each in (0, π].
     k : float
         Wave number (> 0), setting the 1/√(2πk) scale.
     smoothing : {"none", "abel", "cesaro"}
         Summation acceleration for the conditionally convergent sum.
-        Abel damping uses e^(−ε|m|) with ε = 10/L.
+        Abel damping uses w_ℓ = e^(−εℓ) with ε = 10/L, Cesàro
+        w_ℓ = 1 − ℓ/(L + 1).
 
     Returns
     -------
-    complex
-        f(θ) = −(i/√(2πk)) Σ_m [e^(2iδ_m) − 1] e^(imθ) · w_m.
+    complex or ndarray of complex
+        f(θ) = −(i/√(2πk)) Σ_m [e^(2iδ_m) − 1] e^(imθ) · w_|m|, summed as
+        the half-sum −(i/√(2πk)) [s₀ + 2 Σ_{ℓ≥1} s_ℓ w_ℓ cos ℓθ] with
+        s_ℓ = e^(2iδ_ℓ) − 1.  A scalar θ gives a complex, a 1-d array of
+        angles an array of the same length.
 
     Raises
     ------
     DomainError
-        At the forward singularity θ = 0 (or any θ outside (0, π]).
+        At the forward singularity θ = 0 (or any θ outside (0, π]), for
+        a θ array of more than one dimension, or for a phase shift that
+        is not finite or so large that 2δ overflows.
     """
-    theta = float(theta)
+    angles = np.asarray(theta, dtype=float)
     k = check_positive(k, "wave number")
-    if not (0.0 < theta <= math.pi):
+    if angles.ndim > 1:
+        raise DomainError(f"theta must be a scalar or a 1-d array, got shape {angles.shape}")
+    if not ((angles > 0.0) & (angles <= math.pi)).all():
         raise DomainError(
             f"theta must lie in (0, pi]; the forward direction is singular (got {theta!r})"
         )
@@ -255,19 +267,26 @@ def scattering_amplitude(
     deltas = np.asarray(phase_shifts, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0:
         raise DomainError("phase_shifts must be a non-empty 1-d sequence")
-    if not np.isfinite(deltas).all():
-        raise DomainError("phase_shifts must all be finite")
+    if not (np.abs(deltas) <= _MAX_PHASE).all():  # also rejects inf and NaN
+        raise DomainError(f"phase_shifts must all be finite with |delta| <= {_MAX_PHASE!r}")
     L = deltas.size - 1
-    m = np.arange(-L, L + 1)
-    s = np.exp(2j * deltas[np.abs(m)]) - 1.0
+    ell = np.arange(L + 1)
+    s = np.exp(2j * deltas) - 1.0
     if smoothing == "abel" and L > 0:
-        w = np.exp(-(10.0 / L) * np.abs(m))
+        w = np.exp(-(10.0 / L) * ell)
     elif smoothing == "cesaro" and L > 0:
-        w = 1.0 - np.abs(m) / (L + 1.0)
+        w = 1.0 - ell / (L + 1.0)
     else:
-        w = np.ones_like(m, dtype=float)
-    total = np.sum(s * w * np.exp(1j * m * theta))
-    return complex(-1j / math.sqrt(_TWO_PI * k) * total)
+        w = np.ones(L + 1)
+    terms = 2.0 * s[1:] * w[1:]
+    cosines = np.cos(np.multiply.outer(angles, ell[1:]))
+    # einsum sums each row alike whatever the number of rows (BLAS gemv
+    # does not), so an array of angles gives the scalar calls' bits.
+    real = np.einsum("...j,j->...", cosines, terms.real)
+    imag = np.einsum("...j,j->...", cosines, terms.imag)
+    total = s[0] + (real + 1j * imag)
+    amplitude = -1j / math.sqrt(_TWO_PI * k) * total
+    return complex(amplitude) if angles.ndim == 0 else amplitude
 
 
 def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:
@@ -275,6 +294,11 @@ def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:
 
     σ(θ) = α·tanh(πα) / (2k sin²(θ/2)), the analytic limit the
     partial-wave sum reproduces when fed phases arg Γ(|m|+1/2−iα).
+
+    Raises
+    ------
+    Overflow
+        When 2k·sin²(θ/2) underflows to 0 or σ exceeds double range.
     """
     alpha = check_finite(alpha, "alpha")
     k = check_positive(k, "wave number")
@@ -282,4 +306,10 @@ def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:
     if not (0.0 < theta <= math.pi):
         raise DomainError(f"theta must lie in (0, pi], got {theta!r}")
     s = math.sin(0.5 * theta)
-    return alpha * math.tanh(math.pi * alpha) / (2.0 * k * s * s)
+    denominator = 2.0 * k * s * s
+    sigma = alpha * math.tanh(math.pi * alpha) / denominator if denominator else math.inf
+    if not math.isfinite(sigma):
+        raise Overflow(
+            f"Coulomb cross section at k = {k!r}, theta = {theta!r} exceeds double range"
+        )
+    return sigma

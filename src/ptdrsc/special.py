@@ -85,9 +85,10 @@ def log_gamma(z) -> complex:
         If z is within 1e-12 of a non-positive integer.
     """
     z = _require_finite_complex(z, "z")
-    nearest = round(z.real)
-    if nearest <= 0 and abs(z - nearest) <= _POLE_TOL:
-        raise PoleError(f"log_gamma pole at z = {int(nearest)} (got {z!r})")
+    if z.real <= _POLE_TOL:  # only then can a pole 0, −1, −2, … be this close
+        nearest = round(z.real)
+        if abs(z - nearest) <= _POLE_TOL:
+            raise PoleError(f"log_gamma pole at z = {int(nearest)} (got {z!r})")
     return complex(scipy.special.loggamma(z))
 
 

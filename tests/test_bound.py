@@ -22,7 +22,7 @@ def test_ground_state_anchor():
 
 
 def test_nonrel_anchor():
-    # mu=1, delta=0.1, n=0, ell=1: -8*0.01/9
+    # M=1, delta=0.1, n=0, ell=1: -8*0.01/9
     got = nonrel_energy(1.0, 0.1, 0, 1)
     assert got == pytest.approx(-0.0088888888888888889, rel=1e-14)
     # the exact binding energy E - M sits within the quadratic bound

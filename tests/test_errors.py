@@ -20,8 +20,9 @@ NAN = math.nan
 
 # Bad values per input rule.
 BAD = {
-    "index": (INF, NAN, 1.5, -1),
-    "index_from_1": (INF, NAN, 1.5, 0),
+    "index": (INF, NAN, 1.5, -1, 2**53 + 1),
+    "index_from_1": (INF, NAN, 1.5, 0, 2**53 + 1),
+    "phase": (NAN, INF, -INF, 1e308),
     "positive": (NAN, INF, -1.0),
     "finite": (NAN, INF, -INF),
     "interval": (NAN, INF),
@@ -51,7 +52,7 @@ CASES = [
      lambda v=1: radial.radial_wavefunction_with_derivative(CTX, v, 1.0)),
     ("radial_wavefunction_with_derivative.r", "positive",
      lambda v=1.0: radial.radial_wavefunction_with_derivative(CTX, 1, v)),
-    ("scattering_amplitude.phase_shifts", "finite",
+    ("scattering_amplitude.phase_shifts", "phase",
      lambda v=0.3: radial.scattering_amplitude([v, 0.1, 0.2], 1.0, 1.0)),
     ("scattering_amplitude.theta", "interval",
      lambda v=1.0: radial.scattering_amplitude([0.3, 0.1], v, 1.0)),
@@ -147,6 +148,17 @@ CASES = [
 ]
 
 
+# Indices far past 2**53, which int() of a float or the float arithmetic
+# behind them would meet with a bare OverflowError.
+HUGE_INDEX_CASES = [
+    ("bound_energy(n_r=1e300)", lambda: bound.bound_energy(1, 0.5, 1e300, 0)),
+    ("phase_shift(ell=10**400)", lambda: radial.phase_shift(CTX, 10**400)),
+    ("polar_eigenvalue(n_r=10**400)", lambda: angular.polar_eigenvalue(2, 3, 10**400)),
+    ("hyp2f1_terminating(n=10**400)",
+     lambda: special.hyp2f1_terminating(10**400, 2.5, 3.5, 0.3)),
+]
+
+
 @pytest.mark.parametrize("label,rule,call", CASES, ids=[case[0] for case in CASES])
 def test_valid_arguments_pass(label, rule, call):
     # the valid call each bad-value case perturbs is itself accepted
@@ -164,6 +176,13 @@ def test_bad_input_raises_domain_error(label, value, call):
         call(value)
 
 
+@pytest.mark.parametrize("label,call", HUGE_INDEX_CASES,
+                         ids=[case[0] for case in HUGE_INDEX_CASES])
+def test_huge_index_raises_domain_error(label, call):
+    with pytest.raises(DomainError):
+        call()
+
+
 # Valid inputs whose result scipy cannot evaluate or double range cannot hold.
 EXTREME_CASES = [
     ("hyp2f1_terminating(n=10**6)", lambda: special.hyp2f1_terminating(10**6, 2.5, 3.5, 0.3)),
@@ -171,6 +190,9 @@ EXTREME_CASES = [
     ("polar_eigenvalue(zeta=1e308)", lambda: angular.polar_eigenvalue(2.0, 3.0, 1, 1e308)),
     ("polar_solution(n_r=10**5).evaluator",
      lambda: angular.polar_solution(2.0, 3.0, 10**5).evaluator(0.7)),
+    ("coulomb_cross_section(k=5e-324)", lambda: radial.coulomb_cross_section(1.0, 5e-324, 1.0)),
+    ("coulomb_cross_section(theta=1e-300)",
+     lambda: radial.coulomb_cross_section(1.0, 1.0, 1e-300)),
 ]
 
 

@@ -224,16 +224,45 @@ def _direct_sum(shifts, theta, k, weights):
 def test_scattering_amplitude_matches_direct_sum():
     shifts = [0.3, -0.2, 0.11, 0.05, -0.01]
     k, L = 1.7, 4
+    weights = {
+        "abel": [math.exp(-(10.0 / L) * m) for m in range(L + 1)],
+        "cesaro": [1.0 - m / (L + 1.0) for m in range(L + 1)],
+        "none": [1.0] * (L + 1),
+    }
+    thetas = (0.4, 1.2, math.pi)
+    for smoothing, w in weights.items():
+        for theta in thetas:
+            assert abs(scattering_amplitude(shifts, theta, k, smoothing=smoothing)
+                       - _direct_sum(shifts, theta, k, w)) < 1e-14
+        got = scattering_amplitude(shifts, np.array(thetas), k, smoothing=smoothing)
+        assert got.shape == (len(thetas),)
+        for theta, f in zip(thetas, got):
+            assert abs(f - _direct_sum(shifts, theta, k, w)) < 1e-14
+
+
+def test_scattering_amplitude_matches_direct_sum_at_l2000():
+    # the benchmark's size: Coulomb phases for l = 0..2000, Abel-smoothed
+    ctx = make_context(1.0, 1.5, 1.0)
+    L = 2000
+    shifts = [phase_shift(ctx, ell) for ell in range(L + 1)]
     abel = [math.exp(-(10.0 / L) * m) for m in range(L + 1)]
-    cesaro = [1.0 - m / (L + 1.0) for m in range(L + 1)]
-    flat = [1.0] * (L + 1)
-    for theta in (0.4, 1.2, math.pi):
-        assert abs(scattering_amplitude(shifts, theta, k, smoothing="abel")
-                   - _direct_sum(shifts, theta, k, abel)) < 1e-14
-        assert abs(scattering_amplitude(shifts, theta, k, smoothing="cesaro")
-                   - _direct_sum(shifts, theta, k, cesaro)) < 1e-14
-        assert abs(scattering_amplitude(shifts, theta, k, smoothing="none")
-                   - _direct_sum(shifts, theta, k, flat)) < 1e-14
+    k = ctx.wave_number
+    for theta in (0.1, 1.0, 2.5, math.pi):
+        want = _direct_sum(shifts, theta, k, abel)
+        got = scattering_amplitude(shifts, theta, k)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
+def test_scattering_amplitude_array_equals_scalar_calls():
+    rng = np.random.default_rng(7)
+    shifts = rng.uniform(-1.5, 1.5, size=301)
+    thetas = np.linspace(0.05, math.pi, 37)
+    for smoothing in ("none", "abel", "cesaro"):
+        got = scattering_amplitude(shifts, thetas, 0.9, smoothing=smoothing)
+        for theta, f in zip(thetas, got):
+            want = scattering_amplitude(shifts, float(theta), 0.9, smoothing=smoothing)
+            assert isinstance(want, complex)
+            assert abs(f - want) <= 1e-14 * abs(want)
 
 
 def test_scattering_amplitude_phase_conjugation():
@@ -258,6 +287,14 @@ def test_scattering_amplitude_domain():
         scattering_amplitude([], 1.0, 1.0)
     with pytest.raises(DomainError):
         scattering_amplitude([0.1], 1.0, 1.0, smoothing="boxcar")
+    with pytest.raises(DomainError):
+        scattering_amplitude([0.1], [0.5, 1.0, 4.0], 1.0)
+    with pytest.raises(DomainError):
+        scattering_amplitude([0.1], [[0.5, 1.0]], 1.0)
+    with pytest.raises(DomainError):
+        scattering_amplitude([0.1], math.nan, 1.0)
+    with pytest.raises(DomainError):
+        scattering_amplitude([0.1], [0.5, math.nan], 1.0)
 
 
 def test_coulomb_cross_section_closed_form():
