@@ -71,14 +71,14 @@ class NoRoot(NumericalError):
     """Root bracketing failed: no solution in the attainable range."""
 
 
-# The largest whole number a float holds exactly.
+# A float holds every whole number up to 2**53 exactly.
 _INDEX_MAX = 2**53
 
 
 def check_index(value, name: str, least: int = 0) -> int:
     """``value`` as an int, if it is a whole number in [``least``, 2**53].
 
-    2**53 is the largest whole number a float holds exactly; above it
+    A float holds every whole number up to 2**53 exactly; far above it
     ``int()`` of a float and the float arithmetic of the callers would
     raise a bare OverflowError.  The range test comes first, so inf and
     NaN never reach ``int()``.  A plain int skips the float test: the
@@ -87,7 +87,10 @@ def check_index(value, name: str, least: int = 0) -> int:
     if type(value) is int and least <= value <= _INDEX_MAX:
         return value
     if not (least <= value <= _INDEX_MAX and value == int(value)):
-        raise DomainError(f"{name} must be an integer in [{least}, 2**53], got {value!r}")
+        # repr() of an int of more than 4300 digits raises ValueError
+        huge = isinstance(value, int) and value > _INDEX_MAX
+        got = "an int above 2**53" if huge else repr(value)
+        raise DomainError(f"{name} must be an integer in [{least}, 2**53], got {got}")
     return int(value)
 
 

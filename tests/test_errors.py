@@ -153,6 +153,7 @@ CASES = [
 HUGE_INDEX_CASES = [
     ("bound_energy(n_r=1e300)", lambda: bound.bound_energy(1, 0.5, 1e300, 0)),
     ("phase_shift(ell=10**400)", lambda: radial.phase_shift(CTX, 10**400)),
+    ("phase_shift(ell=10**5000)", lambda: radial.phase_shift(CTX, 10**5000)),
     ("polar_eigenvalue(n_r=10**400)", lambda: angular.polar_eigenvalue(2, 3, 10**400)),
     ("hyp2f1_terminating(n=10**400)",
      lambda: special.hyp2f1_terminating(10**400, 2.5, 3.5, 0.3)),
