@@ -42,6 +42,8 @@ _REALNESS_TOL = 1e-8
 _SMOOTHINGS = ("none", "abel", "cesaro")
 # Largest |δ| for which 2δ, the argument of e^(2iδ), is still finite.
 _MAX_PHASE = sys.float_info.max / 2.0
+# Entries of the cos ℓθ matrix that scattering_amplitude holds at once.
+_BLOCK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -279,14 +281,20 @@ def scattering_amplitude(
     else:
         w = np.ones(L + 1)
     terms = 2.0 * s[1:] * w[1:]
-    cosines = np.cos(np.multiply.outer(angles, ell[1:]))
-    # einsum sums each row alike whatever the number of rows (BLAS gemv
-    # does not), so an array of angles gives the scalar calls' bits.
-    real = np.einsum("...j,j->...", cosines, terms.real)
-    imag = np.einsum("...j,j->...", cosines, terms.imag)
-    total = s[0] + (real + 1j * imag)
+    flat = angles.reshape(-1)
+    total = np.empty(flat.size, dtype=complex)
+    # The cos ℓθ matrix is built for a block of angles at a time, so its
+    # memory stays near _BLOCK_ELEMENTS floats for any number of angles.
+    rows = max(1, _BLOCK_ELEMENTS // max(L, 1))
+    for start in range(0, flat.size, rows):
+        cosines = np.cos(np.multiply.outer(flat[start:start + rows], ell[1:]))
+        # einsum sums each row alike whatever the number of rows (BLAS gemv
+        # does not), so an array of angles gives the scalar calls' bits.
+        real = np.einsum("ij,j->i", cosines, terms.real)
+        imag = np.einsum("ij,j->i", cosines, terms.imag)
+        total[start:start + rows] = s[0] + (real + 1j * imag)
     amplitude = -1j / math.sqrt(_TWO_PI * k) * total
-    return complex(amplitude) if angles.ndim == 0 else amplitude
+    return complex(amplitude[0]) if angles.ndim == 0 else amplitude
 
 
 def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:

@@ -254,9 +254,10 @@ def test_scattering_amplitude_matches_direct_sum_at_l2000():
 
 
 def test_scattering_amplitude_array_equals_scalar_calls():
+    # 600 angles at L = 2000 fill more than one block of the cosine matrix
     rng = np.random.default_rng(7)
-    shifts = rng.uniform(-1.5, 1.5, size=301)
-    thetas = np.linspace(0.05, math.pi, 37)
+    shifts = rng.uniform(-1.5, 1.5, size=2001)
+    thetas = np.linspace(0.05, math.pi, 600)
     for smoothing in ("none", "abel", "cesaro"):
         got = scattering_amplitude(shifts, thetas, 0.9, smoothing=smoothing)
         for theta, f in zip(thetas, got):
