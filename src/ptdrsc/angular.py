@@ -90,21 +90,12 @@ def _check_well(chi, lam, zeta, n_r):
         raise DomainError(f"lam must be >= 1/2, got {lam!r}")
     zeta = check_positive(zeta, "zeta")
     n_r = check_index(n_r, "n_r")
-    if chi < 1.0 or lam < 1.0:
-        warnings.warn(
-            f"well parameters (chi, lam) = ({chi!r}, {lam!r}) sit below the "
-            "regular branch chi, lam >= 1",
-            RuntimeWarning,
-            stacklevel=3,
-        )
     return float(chi), float(lam), zeta, n_r
 
 
 def polar_eigenvalue(chi: float, lam: float, n_r: int, zeta: float = 1.0) -> float:
     """E_{n_r} = (zeta^2/2)(chi + lam + 2 n_r)^2."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        chi, lam, zeta, n_r = _check_well(chi, lam, zeta, n_r)
+    chi, lam, zeta, n_r = _check_well(chi, lam, zeta, n_r)
     s = chi + lam + 2.0 * n_r
     level = 0.5 * zeta * zeta * s * s
     if not math.isfinite(level):
@@ -163,6 +154,13 @@ def polar_solution(chi: float, lam: float, n_r: int,
     large n_r) is built, and its evaluator raises NumericalError.
     """
     chi, lam, zeta, n_r = _check_well(chi, lam, zeta, n_r)
+    if chi < 1.0 or lam < 1.0:
+        warnings.warn(
+            f"well parameters (chi, lam) = ({chi!r}, {lam!r}) sit below the "
+            "regular branch chi, lam >= 1",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     return _normalized(chi, lam, n_r, zeta, polar_eigenvalue(chi, lam, n_r, zeta))
 
 

@@ -2,9 +2,12 @@
 
 Seven subcommands expose the library over deterministic CSV/JSON
 tables: phase-shifts, wavefunction, cross-section, bound-states,
-thermo, angular, screened-fit.  Numeric flags accept either a single
-value or a start:step:stop sweep where noted; a --config file of
-"key = value" lines supplies defaults that explicit flags override.
+thermo, angular, screened-fit.  Each flag is declared once, to argparse,
+in ``_COMMANDS``.  Numeric flags accept either a single value or a
+start:step:stop sweep where noted; sweeps, counts and tables are capped
+at 100 000 rows.  Each "key = value" line of a --config file becomes a
+--key=value flag placed after the command name and before the command
+line's own flags, so it is checked like a flag and the command line wins.
 
 Exit codes: 0 success, 1 usage, 2 domain error, 3 numerical failure.
 """
@@ -35,157 +38,42 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _Opt:
-    def __init__(self, name, kind, default=None, required=False, choices=None):
-        self.name = name            # long flag name, with dashes
-        self.dest = name.replace("-", "_")
-        self.kind = kind            # "float" | "int" | "count" | "sweep" | "str"
-        self.default = default
-        self.required = required
-        self.choices = choices
-
-
 def _parse_sweep(text: str) -> List[float]:
-    parts = text.split(":")
-    if len(parts) == 1:
-        return [float(parts[0])]
-    if len(parts) != 3:
-        raise _UsageError(f"expected VALUE or START:STEP:STOP, got {text!r}")
-    start, step, stop = (float(p) for p in parts)
+    try:
+        values = [float(p) for p in text.split(":")]
+    except ValueError:
+        values = []
+    if len(values) == 1:
+        return values
+    if len(values) != 3:
+        raise argparse.ArgumentTypeError(f"expected VALUE or START:STEP:STOP, got {text!r}")
+    start, step, stop = values
     if step == 0.0 or (stop - start) * step < 0.0:
-        raise _UsageError(f"sweep {text!r} does not advance from start to stop")
+        raise argparse.ArgumentTypeError(f"sweep {text!r} does not advance from start to stop")
     span = (stop - start) / step + 1e-9
     if not span < _MAX_SWEEP_ROWS:  # also rejects inf and nan
-        raise _UsageError(
+        raise argparse.ArgumentTypeError(
             f"sweep {text!r} does not give a finite row count of at most {_MAX_SWEEP_ROWS}"
         )
     count = int(math.floor(span)) + 1
     return [start + i * step for i in range(count)]
 
 
-def _convert(opt: _Opt, raw: str):
+def _count(text: str) -> int:
     try:
-        if opt.kind == "float":
-            return float(raw)
-        if opt.kind == "int":
-            return int(raw, 10)
-        if opt.kind == "count":
-            count = int(raw, 10)
-            if count < 0:
-                raise _UsageError(f"--{opt.name} must be non-negative, got {raw!r}")
-            return count
-        if opt.kind == "sweep":
-            return _parse_sweep(raw)
-    except ValueError as exc:
-        raise _UsageError(f"bad value for --{opt.name}: {raw!r} ({exc})") from exc
-    if opt.choices is not None and raw not in opt.choices:
-        raise _UsageError(
-            f"bad value for --{opt.name}: {raw!r} (choose from {opt.choices})"
+        count = int(text, 10)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a whole number, got {text!r}") from None
+    if not 0 <= count <= _MAX_SWEEP_ROWS:
+        raise argparse.ArgumentTypeError(
+            f"expected a count from 0 to {_MAX_SWEEP_ROWS}, got {text!r}"
         )
-    return raw
+    return count
 
 
-def _read_config(path: str) -> dict:
-    table = {}
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                if "=" not in stripped:
-                    raise _UsageError(
-                        f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
-                    )
-                key, _, value = stripped.partition("=")
-                table[key.strip().replace("_", "-")] = value.strip()
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
-    return table
-
-
-_COMMON = [
-    _Opt("format", "str", default="csv", choices=("csv", "json")),
-    _Opt("out", "str"),
-    _Opt("config", "str"),
-]
-
-_SCHEMAS = {
-    "phase-shifts": [
-        _Opt("mass", "float", default=1.0),
-        _Opt("energy", "sweep", required=True),
-        _Opt("delta", "float", required=True),
-        _Opt("lmax", "count", default=10),
-    ],
-    "wavefunction": [
-        _Opt("mass", "float", default=1.0),
-        _Opt("energy", "float", required=True),
-        _Opt("delta", "float", required=True),
-        _Opt("ell", "int", default=0),
-        _Opt("r", "sweep", required=True),
-    ],
-    "cross-section": [
-        _Opt("mass", "float", default=1.0),
-        _Opt("energy", "float", required=True),
-        _Opt("delta", "float", required=True),
-        _Opt("lmax", "count", default=2000),
-        _Opt("theta", "sweep", required=True),
-        _Opt("smoothing", "str", default="abel", choices=("abel", "cesaro", "none")),
-    ],
-    "bound-states": [
-        _Opt("mass", "float", default=1.0),
-        _Opt("delta", "float", required=True),
-        _Opt("nmax", "count", default=3),
-        _Opt("lmax", "count", default=3),
-    ],
-    "thermo": [
-        _Opt("beta", "sweep", required=True),
-        _Opt("xi", "float", required=True),
-        _Opt("tau", "float", default=1.0),
-        _Opt("kb", "float", default=1.0),
-    ],
-    "angular": [
-        _Opt("chi", "float", required=True),
-        _Opt("lam", "float", required=True),
-        _Opt("zeta", "float", default=1.0),
-        _Opt("nmax", "count", default=5),
-    ],
-    "screened-fit": [
-        _Opt("phi", "float", required=True),
-        _Opt("gamma-screen", "float", required=True),
-    ],
-}
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog=_PROG, description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, opts in _SCHEMAS.items():
-        p = sub.add_parser(name)
-        for opt in opts + _COMMON:
-            p.add_argument(f"--{opt.name}", dest=opt.dest, default=None)
-    return parser
-
-
-def _resolve(args, opts) -> dict:
-    """Merge flags over config-file values over schema defaults."""
-    config = _read_config(args.config) if args.config is not None else {}
-    known = {o.name for o in opts} | {o.name for o in _COMMON}
-    for key in config:
-        if key not in known:
-            raise _UsageError(f"unknown config key {key!r}")
-    values = {}
-    for opt in opts + _COMMON:
-        raw = getattr(args, opt.dest)
-        if raw is None:
-            raw = config.get(opt.name)
-        if raw is None:
-            if opt.required:
-                raise _UsageError(f"missing required option --{opt.name}")
-            values[opt.dest] = opt.default
-        else:
-            values[opt.dest] = _convert(opt, raw)
-    return values
+def _check_rows(rows: int, flags: str) -> None:
+    if rows > _MAX_SWEEP_ROWS:
+        raise _UsageError(f"{flags} give {rows} rows, more than {_MAX_SWEEP_ROWS}")
 
 
 def _fmt(value) -> str:
@@ -213,12 +101,13 @@ def _render_json(columns: Sequence[str], rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _run_phase_shifts(v) -> Tuple[List[str], list]:
-    energies = v["energy"]
+def _run_phase_shifts(args) -> Tuple[List[str], list]:
+    energies = args.energy
+    _check_rows(len(energies) * (args.lmax + 1), "--energy and --lmax")
     rows = []
     for energy in energies:
-        ctx = radial.make_context(v["mass"], energy, v["delta"])
-        for ell in range(v["lmax"] + 1):
+        ctx = radial.make_context(args.mass, energy, args.delta)
+        for ell in range(args.lmax + 1):
             shift = radial.phase_shift(ctx, ell)
             rows.append((energy, ell, shift) if len(energies) > 1 else (ell, shift))
     if len(energies) > 1:
@@ -226,35 +115,36 @@ def _run_phase_shifts(v) -> Tuple[List[str], list]:
     return ["ell", "delta_ell_rad"], rows
 
 
-def _run_wavefunction(v) -> Tuple[List[str], list]:
-    ctx = radial.make_context(v["mass"], v["energy"], v["delta"])
-    rows = [(r, radial.radial_wavefunction(ctx, v["ell"], r)) for r in v["r"]]
+def _run_wavefunction(args) -> Tuple[List[str], list]:
+    ctx = radial.make_context(args.mass, args.energy, args.delta)
+    rows = [(r, radial.radial_wavefunction(ctx, args.ell, r)) for r in args.r]
     return ["r", "g"], rows
 
 
-def _run_cross_section(v) -> Tuple[List[str], list]:
-    ctx = radial.make_context(v["mass"], v["energy"], v["delta"])
-    shifts = [radial.phase_shift(ctx, ell) for ell in range(v["lmax"] + 1)]
-    amps = radial.scattering_amplitude(shifts, v["theta"], ctx.wave_number,
-                                       smoothing=v["smoothing"])
-    rows = [(theta, abs(amp) ** 2) for theta, amp in zip(v["theta"], amps)]
+def _run_cross_section(args) -> Tuple[List[str], list]:
+    ctx = radial.make_context(args.mass, args.energy, args.delta)
+    shifts = [radial.phase_shift(ctx, ell) for ell in range(args.lmax + 1)]
+    amps = radial.scattering_amplitude(shifts, args.theta, ctx.wave_number,
+                                       smoothing=args.smoothing)
+    rows = [(theta, abs(amp) ** 2) for theta, amp in zip(args.theta, amps)]
     return ["theta_rad", "dcs"], rows
 
 
-def _run_bound_states(v) -> Tuple[List[str], list]:
+def _run_bound_states(args) -> Tuple[List[str], list]:
+    _check_rows((args.nmax + 1) * (args.lmax + 1), "--nmax and --lmax")
     rows = []
-    for n_r in range(v["nmax"] + 1):
-        for ell in range(v["lmax"] + 1):
-            level = bound.bound_level(v["mass"], v["delta"], n_r, ell)
+    for n_r in range(args.nmax + 1):
+        for ell in range(args.lmax + 1):
+            level = bound.bound_level(args.mass, args.delta, n_r, ell)
             rows.append((n_r, ell, level.energy, level.nonrel_energy))
     return ["n_r", "ell", "energy", "nonrel_energy"], rows
 
 
-def _run_thermo(v) -> Tuple[List[str], list]:
+def _run_thermo(args) -> Tuple[List[str], list]:
     rows = []
-    for beta in v["beta"]:
-        state = thermo.ThermoState(beta=beta, xi=v["xi"], tau=v["tau"],
-                                   boltzmann_k=v["kb"])
+    for beta in args.beta:
+        state = thermo.ThermoState(beta=beta, xi=args.xi, tau=args.tau,
+                                   boltzmann_k=args.kb)
         rows.append((
             beta,
             thermo.partition_function(state),
@@ -266,14 +156,14 @@ def _run_thermo(v) -> Tuple[List[str], list]:
     return ["beta", "Z", "U", "C", "F", "S"], rows
 
 
-def _run_angular(v) -> Tuple[List[str], list]:
-    rows = [(n_r, angular.polar_eigenvalue(v["chi"], v["lam"], n_r, v["zeta"]))
-            for n_r in range(v["nmax"] + 1)]
+def _run_angular(args) -> Tuple[List[str], list]:
+    rows = [(n_r, angular.polar_eigenvalue(args.chi, args.lam, n_r, args.zeta))
+            for n_r in range(args.nmax + 1)]
     return ["n_r", "eigenvalue"], rows
 
 
-def _run_screened_fit(v) -> Tuple[List[str], list]:
-    model = xsec.ScreenedRutherford(phi=v["phi"], gamma_screen=v["gamma_screen"])
+def _run_screened_fit(args) -> Tuple[List[str], list]:
+    model = xsec.ScreenedRutherford(phi=args.phi, gamma_screen=args.gamma_screen)
     tot = xsec.screened_sigma_total(model)
     tr = xsec.screened_sigma_transport(model)
     fitted = xsec.fit_screened(tot, tr)
@@ -282,28 +172,116 @@ def _run_screened_fit(v) -> Tuple[List[str], list]:
             "phi_fit", "gamma_screen_fit"], rows
 
 
-_RUNNERS = {
-    "phase-shifts": _run_phase_shifts,
-    "wavefunction": _run_wavefunction,
-    "cross-section": _run_cross_section,
-    "bound-states": _run_bound_states,
-    "thermo": _run_thermo,
-    "angular": _run_angular,
-    "screened-fit": _run_screened_fit,
+_COMMON = {
+    "format": dict(default="csv", choices=("csv", "json")),
+    "out": {},
+    "config": {},
 }
+
+# command: (runner, {flag: argparse keyword arguments}); _COMMON is added to each
+_COMMANDS = {
+    "phase-shifts": (_run_phase_shifts, {
+        "mass": dict(type=float, default=1.0),
+        "energy": dict(type=_parse_sweep, required=True),
+        "delta": dict(type=float, required=True),
+        "lmax": dict(type=_count, default=10),
+    }),
+    "wavefunction": (_run_wavefunction, {
+        "mass": dict(type=float, default=1.0),
+        "energy": dict(type=float, required=True),
+        "delta": dict(type=float, required=True),
+        "ell": dict(type=int, default=0),
+        "r": dict(type=_parse_sweep, required=True),
+    }),
+    "cross-section": (_run_cross_section, {
+        "mass": dict(type=float, default=1.0),
+        "energy": dict(type=float, required=True),
+        "delta": dict(type=float, required=True),
+        "lmax": dict(type=_count, default=2000),
+        "theta": dict(type=_parse_sweep, required=True),
+        "smoothing": dict(default="abel", choices=("abel", "cesaro", "none")),
+    }),
+    "bound-states": (_run_bound_states, {
+        "mass": dict(type=float, default=1.0),
+        "delta": dict(type=float, required=True),
+        "nmax": dict(type=_count, default=3),
+        "lmax": dict(type=_count, default=3),
+    }),
+    "thermo": (_run_thermo, {
+        "beta": dict(type=_parse_sweep, required=True),
+        "xi": dict(type=float, required=True),
+        "tau": dict(type=float, default=1.0),
+        "kb": dict(type=float, default=1.0),
+    }),
+    "angular": (_run_angular, {
+        "chi": dict(type=float, required=True),
+        "lam": dict(type=float, required=True),
+        "zeta": dict(type=float, default=1.0),
+        "nmax": dict(type=_count, default=5),
+    }),
+    "screened-fit": (_run_screened_fit, {
+        "phi": dict(type=float, required=True),
+        "gamma-screen": dict(type=float, required=True),
+    }),
+}
+
+
+def _build_parser() -> _Parser:
+    parser = _Parser(prog=_PROG, description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (run, flags) in _COMMANDS.items():
+        p = sub.add_parser(name)
+        for flag, kwargs in {**flags, **_COMMON}.items():
+            p.add_argument(f"--{flag}", **kwargs)
+        p.set_defaults(run=run)
+    return parser
+
+
+def _config_flags(path: str, known) -> List[str]:
+    """The ``key = value`` lines of a config file as ``--key=value`` flags."""
+    flags = []
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                stripped = line.strip()
+                if not stripped or stripped.startswith("#"):
+                    continue
+                if "=" not in stripped:
+                    raise _UsageError(
+                        f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
+                    )
+                key, _, value = stripped.partition("=")
+                key = key.strip().replace("_", "-")
+                if key not in known:
+                    raise _UsageError(f"unknown config key {key!r}")
+                flags.append(f"--{key}={value.strip()}")
+    except OSError as exc:
+        raise _UsageError(f"cannot read config {path!r}: {exc}") from exc
+    return flags
+
+
+def _with_config(argv: List[str]) -> List[str]:
+    """``argv`` with its --config file's flags after the command name."""
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None or not argv or argv[0] not in _COMMANDS:
+        return argv  # the full parser reports a missing or unknown command
+    known = {**_COMMANDS[argv[0]][1], **_COMMON}
+    return argv[:1] + _config_flags(path, known) + argv[1:]
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
-        values = _resolve(args, _SCHEMAS[args.command])
-        columns, rows = _RUNNERS[args.command](values)
-        if values["format"] == "json":
+        argv = list(sys.argv[1:] if argv is None else argv)
+        args = _build_parser().parse_args(_with_config(argv))
+        columns, rows = args.run(args)
+        if args.format == "json":
             text = _render_json(columns, rows)
         else:
             text = _render_csv(columns, rows)
-        if values["out"] is not None:
-            with open(values["out"], "w", encoding="utf-8", newline="") as fh:
+        if args.out is not None:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)

@@ -3,6 +3,7 @@ eigenfunctions (checked directly against the differential operator),
 degeneracies, and the coupling maps."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -58,6 +59,17 @@ def test_polar_eigenvalues():
     e = [polar_eigenvalue(2.0, 2.0, n) for n in range(5)]
     gaps = np.diff(e)
     assert np.allclose(np.diff(gaps), 4.0, atol=1e-10)
+
+
+def test_only_polar_solution_warns_below_the_regular_branch():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert polar_eigenvalue(0.7, 3.0, 1) == pytest.approx(0.5 * 5.7 ** 2, rel=1e-14)
+        assert azimuthal_m_squared(0.7, 3.0, 1, 1) == pytest.approx(0.5 * 5.7 ** 2 + 0.5,
+                                                                   rel=1e-14)
+    with pytest.warns(RuntimeWarning, match="below the regular branch") as record:
+        polar_solution(0.7, 3.0, 1)
+    assert record[0].filename == __file__  # points at the caller's line
 
 
 def _ode_residual(fn, q, e_ode, chi, lam, zeta, h=1e-3):

@@ -199,6 +199,13 @@ def test_sweep_includes_endpoint():
     # non-finite counts
     ["thermo", "--beta", "0.01:1:inf", "--xi", "1"],
     ["wavefunction", "--energy", "1.5", "--delta", "1", "--r", "0:1e-320:1"],
+    # counts and tables just past the cap, rejected before any row is built
+    ["cross-section", "--energy", "1.5", "--delta", "1", "--theta", "1",
+     "--lmax", "100001"],
+    ["phase-shifts", "--energy", "1.5", "--delta", "1", "--lmax", "100001"],
+    ["bound-states", "--delta", "0.5", "--nmax", "100001"],
+    ["bound-states", "--delta", "0.5", "--nmax", "400", "--lmax", "400"],
+    ["phase-shifts", "--energy", "1.5:0.01:2.5", "--delta", "1", "--lmax", "1000"],
 ])
 def test_out_of_bound_counts_are_usage_errors(argv):
     r = run_cli(*argv)
@@ -206,3 +213,25 @@ def test_out_of_bound_counts_are_usage_errors(argv):
     assert r.stdout == b""
     assert r.stderr.startswith(b"ptdrsc: usage error:")
     assert r.stderr.count(b"\n") == 1
+
+
+CROSS_SECTION = ["--energy", "1.5", "--delta", "1", "--theta", "1"]
+
+
+@pytest.mark.parametrize("line, argv", [
+    ("format = xml", CROSS_SECTION),
+    ("smoothing = boxcar", CROSS_SECTION),
+    ("lmax = -1", CROSS_SECTION),
+    ("energy = abc", ["--delta", "1", "--theta", "1"]),
+    ("lmax 2", CROSS_SECTION),
+    ("lmax = abc", CROSS_SECTION + ["--lmax", "2"]),  # converted though the flag wins
+])
+def test_config_values_are_checked_like_flags(tmp_path, line, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    r = run_cli("cross-section", "--config", str(cfg), *argv)
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"ptdrsc: usage error:")
+    assert r.stderr.count(b"\n") == 1
+    assert line.partition("=")[0].strip().encode() in r.stderr

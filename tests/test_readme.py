@@ -1,13 +1,24 @@
-"""Every ```python block of README.md runs as written."""
+"""Every ```python block of README.md runs as written, and so does every
+``ptdrsc ...`` command of its ```sh blocks."""
 
 import pathlib
 import re
+import shlex
+import subprocess
+import sys
 
 import pytest
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.M | re.S)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+COMMANDS = [
+    argv
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    for argv in [shlex.split(line, comments=True)]
+    if argv[:1] == ["ptdrsc"]
+]
 
 
 def test_readme_has_python_blocks():
@@ -17,3 +28,14 @@ def test_readme_has_python_blocks():
 @pytest.mark.parametrize("index", range(len(BLOCKS)))
 def test_readme_python_block_runs(index):
     exec(compile(BLOCKS[index], f"README.md python block {index}", "exec"), {})
+
+
+def test_readme_has_cli_examples():
+    assert len(COMMANDS) >= 7
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:2]) for a in COMMANDS])
+def test_readme_cli_example_runs(argv):
+    result = subprocess.run([sys.executable, "-m", "ptdrsc", *argv[1:]], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout
