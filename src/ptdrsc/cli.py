@@ -4,10 +4,11 @@ Seven subcommands expose the library over deterministic CSV/JSON
 tables: phase-shifts, wavefunction, cross-section, bound-states,
 thermo, angular, screened-fit.  Each flag is declared once, to argparse,
 in ``_COMMANDS``.  Numeric flags accept either a single value or a
-start:step:stop sweep where noted; sweeps, counts and tables are capped
-at 100 000 rows.  Each "key = value" line of a --config file becomes a
---key=value flag placed after the command name and before the command
-line's own flags, so it is checked like a flag and the command line wins.
+start:step:stop sweep where noted; counts are capped at 100 000, and
+sweeps and tables at 100 000 rows.  Each "key = value" line of a
+--config file becomes a --key=value flag placed after the command name
+and before the command line's own flags, so it is checked like a flag
+and the command line wins.
 
 Exit codes: 0 success, 1 usage, 2 domain error, 3 numerical failure.
 """

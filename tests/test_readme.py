@@ -12,13 +12,12 @@ import pytest
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
 BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
-COMMANDS = [
-    argv
-    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S)
-    for line in block.replace("\\\n", " ").splitlines()
-    for argv in [shlex.split(line, comments=True)]
-    if argv[:1] == ["ptdrsc"]
-]
+COMMANDS = []
+for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S):
+    for line in block.replace("\\\n", " ").splitlines():  # join continuations
+        argv = shlex.split(line, comments=True)
+        if argv[:1] == ["ptdrsc"]:
+            COMMANDS.append(argv)
 
 
 def test_readme_has_python_blocks():
