@@ -263,12 +263,15 @@ def _config_flags(path: str, known) -> List[str]:
 
 def _with_config(argv: List[str]) -> List[str]:
     """``argv`` with its --config file's flags after the command name."""
-    pre = _Parser(add_help=False)
-    pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
-    if path is None or not argv or argv[0] not in _COMMANDS:
+    if not argv or argv[0] not in _COMMANDS:
         return argv  # the full parser reports a missing or unknown command
     known = {**_COMMANDS[argv[0]][1], **_COMMON}
+    pre = _Parser(add_help=False)  # the command's flags, so prefixes resolve alike
+    for flag in known:
+        pre.add_argument(f"--{flag}")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
     return argv[:1] + _config_flags(path, known) + argv[1:]
 
 
