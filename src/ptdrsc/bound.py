@@ -6,12 +6,14 @@ quantization condition
     (2n_r + 1 + 2ℓ)·√(M² − E²) = 2(E + M)·δ,
 
 solved in closed form by E = M(Λ² − 4δ²)/(Λ² + 4δ²) with
-Λ = 2n_r + 1 + 2ℓ.  A plain bisection solver is shipped alongside the
-closed form so the two can be confronted in tests.
+Λ = 2n_r + 1 + 2ℓ.  A bisection solver (``scipy.optimize.bisect``) is
+shipped alongside the closed form so the two can be confronted in tests.
 """
 
 import math
 from dataclasses import dataclass
+
+import scipy
 
 from .errors import DomainError, NoRoot, check_index, check_positive
 
@@ -31,11 +33,6 @@ class BoundLevel:
     ell: int
     energy: float
     nonrel_energy: float
-
-
-# Cap on the halvings of the bisection bracket; the loop ends sooner
-# once the midpoint stops moving.
-_BISECTION_STEPS = 200
 
 
 def _check_quantum_numbers(n_r, ell):
@@ -93,15 +90,8 @@ def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int) 
             f"residual does not change sign on [{lo!r}, {hi!r}] "
             f"(f(lo) = {flo!r}, f(hi) = {fhi!r}); coupling too weak to bracket"
         )
-    for _ in range(_BISECTION_STEPS):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if _residual(mid, M, coupling_delta, lam) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return scipy.optimize.bisect(_residual, lo, hi, args=(M, coupling_delta, lam),
+                                 xtol=1e-15 * M)
 
 
 def nonrel_energy(M: float, coupling_delta: float, n: int, ell: int) -> float:

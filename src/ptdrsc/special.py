@@ -52,10 +52,8 @@ _MAX_TERMS = 100_000      # hard series cap
 _SERIES_RTOL = 1e-13      # internal series accuracy target
 _ASYM_ACCEPT = 1e-12      # accept asymptotic when claimed error is below this
 _RESCUE_RADIUS = 700.0    # run the high-precision series rescue up to here
-_F64_DIRECT_LIMIT = 600.0 # beyond this the double series overflows anyway
-
-# erfi(x) ~ e^(x²)/(x√π) overflows double range past this point.
-_ERFI_OVERFLOW_X = 26.7
+_F64_DIRECT_LIMIT = 600.0 # skip the double series beyond this (at |z| = 600
+                          # an imaginary-z series peaks near 1e260)
 
 
 def _require_finite_complex(z: complex, name: str) -> complex:
@@ -85,17 +83,20 @@ def log_gamma(z) -> complex:
         If z is within 1e-12 of a non-positive integer.
     """
     z = _require_finite_complex(z, "z")
-    if z.real <= _POLE_TOL:  # only then can a pole 0, −1, −2, … be this close
-        nearest = round(z.real)
-        if abs(z - nearest) <= _POLE_TOL:
-            raise PoleError(f"log_gamma pole at z = {int(nearest)} (got {z!r})")
+    if z.real <= _POLE_TOL and _is_nonpositive_int(z):  # inline gate: no call on the hot path
+        raise PoleError(f"log_gamma pole at z = {round(z.real)} (got {z!r})")
     return complex(scipy.special.loggamma(z))
+
+
+def _is_nonpositive_int(w) -> bool:
+    """True if w lies within _POLE_TOL of one of the poles 0, −1, −2, …"""
+    return w.real <= _POLE_TOL and abs(w - round(w.real)) <= _POLE_TOL
 
 
 def _series_f64(a: complex, b: complex, z: complex):
     """Kummer series in double precision.
 
-    Returns (value, peak, terms); peak = inf flags intermediate overflow.
+    Returns (value, peak); peak = inf flags intermediate overflow.
     """
     term = complex(1.0)
     total = complex(1.0)
@@ -107,13 +108,13 @@ def _series_f64(a: complex, b: complex, z: complex):
         total += term
         at = abs(term)
         if not at < 1e290:
-            return total, math.inf, n
+            return total, math.inf
         peak = max(peak, abs(total), at)
         n += 1
         if at <= 1e-16 * max(abs(total), 1e-300):
             below += 1
             if below >= 3:
-                return total, peak, n
+                return total, peak
         else:
             below = 0
     raise NoConvergence(
@@ -167,18 +168,18 @@ def _series_mp(a: complex, b: complex, z: complex, dps: int) -> complex:
     return complex(total)
 
 
-def _series_eval(a: complex, b: complex, z: complex, rtol: float):
-    """Series value plus an error estimate, upgrading precision as needed."""
-    if abs(z) > _F64_DIRECT_LIMIT:
-        return _series_mp(a, b, z, int(0.4343 * abs(z)) + 35), 1e-15
-    val, peak, _ = _series_f64(a, b, z)
-    if math.isinf(peak):
-        return _series_mp(a, b, z, int(0.4343 * abs(z)) + 35), 1e-15
-    cancel_err = peak * 2.2e-16 / max(abs(val), 1e-300)
-    if cancel_err <= rtol:
-        return val, cancel_err
-    dps = int(math.log10(peak)) + 30 if peak > 1.0 else 30
-    return _series_mp(a, b, z, dps), 1e-15
+def _series(a: complex, b: complex, z: complex) -> complex:
+    """Kummer series in double precision, or in mpmath when the terms
+    overflow, cancellation eats the double budget, or |z| > _F64_DIRECT_LIMIT.
+    """
+    dps = int(0.4343 * abs(z)) + 35
+    if abs(z) <= _F64_DIRECT_LIMIT:
+        val, peak = _series_f64(a, b, z)
+        if not math.isinf(peak):
+            if peak * 2.2e-16 / max(abs(val), 1e-300) <= _SERIES_RTOL:
+                return val
+            dps = int(math.log10(peak)) + 30  # peak ≥ 1, the first term
+    return _series_mp(a, b, z, dps)
 
 
 def _asym_sum(p: complex, q: complex, w: complex):
@@ -229,11 +230,6 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
     return val, err
 
 
-def _is_nonpositive_int(w: complex) -> bool:
-    nearest = round(w.real)
-    return nearest <= 0 and abs(w - nearest) <= _POLE_TOL
-
-
 def hyp1f1(a, b, z) -> complex:
     """Confluent hypergeometric function ₁F₁(a; b; z) = F(a, b, z).
 
@@ -262,7 +258,9 @@ def hyp1f1(a, b, z) -> complex:
     and upgrades itself to arbitrary precision when cancellation eats the
     double-precision budget.  Above the switch radius the large-|z|
     expansion is used whenever its optimal-truncation estimate passes,
-    with the series as a cost-bounded rescue.
+    with the series as a cost-bounded rescue.  When a or b − a is a
+    non-positive integer (F a polynomial, or e^z times one), the
+    expansion would take log Γ at a pole, and the series is used.
     """
     a = _require_finite_complex(a, "a")
     b = _require_finite_complex(b, "b")
@@ -270,28 +268,20 @@ def hyp1f1(a, b, z) -> complex:
     if _is_nonpositive_int(b):
         raise ParameterPole(f"hyp1f1 undefined for b = {b!r} (non-positive integer)")
 
-    if abs(z) <= _SWITCH_RADIUS:
-        val, _ = _series_eval(a, b, z, _SERIES_RTOL)
-        return val
-    # A polynomial case (a a non-positive integer) terminates exactly;
-    # the asymptotic machinery does not apply to it.
-    if _is_nonpositive_int(a):
-        val, _ = _series_eval(a, b, z, _SERIES_RTOL)
-        return val
-    val, err = _asymptotic_eval(a, b, z)
-    if err <= _ASYM_ACCEPT:
-        return val
-    if abs(z) <= _RESCUE_RADIUS:
-        val, _ = _series_eval(a, b, z, _SERIES_RTOL)
-        return val
-    if err <= 1e-6:
-        # Beyond the contract radius: best effort near zeros of F, where
+    if (abs(z) > _SWITCH_RADIUS
+            and not (_is_nonpositive_int(a) or _is_nonpositive_int(b - a))):
+        val, err = _asymptotic_eval(a, b, z)
+        beyond_rescue = abs(z) > _RESCUE_RADIUS
+        # Beyond the rescue radius, best effort up to 1e-6: near zeros of F
         # the relative estimate is dominated by benign cancellation.
-        return val
-    raise NoConvergence(
-        f"1F1 asymptotic error estimate {err:.2e} too large at "
-        f"a={a!r}, b={b!r}, z={z!r}"
-    )
+        if err <= _ASYM_ACCEPT or (beyond_rescue and err <= 1e-6):
+            return val
+        if beyond_rescue:
+            raise NoConvergence(
+                f"1F1 asymptotic error estimate {err:.2e} too large at "
+                f"a={a!r}, b={b!r}, z={z!r}"
+            )
+    return _series(a, b, z)
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
@@ -324,7 +314,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
     c = check_finite(c, "c")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if n > 0 and c <= _POLE_TOL and abs(c - round(c)) <= _POLE_TOL:
+    if n > 0 and _is_nonpositive_int(c):
         raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
     val = float(scipy.special.hyp2f1(-n, b, c, x))
     if not math.isfinite(val):
@@ -348,11 +338,8 @@ def erfi(x: float) -> float:
         carries the sign of the would-be infinity (Erfi is odd).
     """
     x = check_finite(x, "x")
-    if abs(x) > _ERFI_OVERFLOW_X:
-        sign = "+" if x > 0 else "-"
-        raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")
     val = float(scipy.special.erfi(x))
-    if not math.isfinite(val):  # pragma: no cover - guarded above
+    if not math.isfinite(val):  # scipy returns ±inf from |x| ≈ 26.642
         sign = "+" if x > 0 else "-"
         raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")
     return val

@@ -165,6 +165,16 @@ def test_hyp1f1_polynomial_case():
         assert _rel(hyp1f1(a, b, z), want) < 1e-12
 
 
+@pytest.mark.parametrize("a,b,z", [(2, 2, 40), (1.5, 1.5, -33), (3, 2, 40), (3, 2, 35j),
+                                   (2.5, 0.5, 45), (4, 1, -40)])
+def test_hyp1f1_b_minus_a_nonpositive_integer_past_switch(a, b, z):
+    # b − a = 0, −1, −2, −3 makes F e^z times a polynomial, and the
+    # large-|z| expansion would take log Γ(b − a) at its pole
+    with mpmath.workdps(40):
+        want = complex(mpmath.hyp1f1(a, b, z))
+    assert _rel(hyp1f1(a, b, z), want) <= 1e-10
+
+
 def test_hyp1f1_small_z_against_scipy():
     rng = np.random.default_rng(7)
     for _ in range(40):
@@ -309,12 +319,11 @@ def test_dawson_derivative_identity():
 
 
 def test_erfi_overflow_is_signed():
-    with pytest.raises(Overflow) as exc_info:
-        erfi(27.0)
-    assert "sign +" in str(exc_info.value)
-    with pytest.raises(Overflow) as exc_info:
-        erfi(-27.0)
-    assert "sign -" in str(exc_info.value)
+    # ±26.65 lies past the point where scipy's erfi returns ±inf (|x| ≈ 26.642)
+    for x, sign in ((27.0, "+"), (-27.0, "-"), (26.65, "+"), (-26.65, "-")):
+        with pytest.raises(Overflow) as exc_info:
+            erfi(x)
+        assert f"sign {sign}" in str(exc_info.value)
 
 
 def test_erfi_rejects_nan():
