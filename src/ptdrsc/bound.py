@@ -13,8 +13,7 @@ shipped alongside the closed form so the two can be confronted in tests.
 import math
 from dataclasses import dataclass
 
-import scipy
-
+from ._lazy import lazy_module
 from .errors import DomainError, NoRoot, check_index, check_positive
 
 __all__ = [
@@ -25,6 +24,8 @@ __all__ = [
     "nonrel_energy",
     "bound_level",
 ]
+
+scipy = lazy_module("scipy")
 
 
 @dataclass(frozen=True)
@@ -67,31 +68,35 @@ def bound_energy(M: float, coupling_delta: float, n_r: int, ell: int) -> float:
     M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n_r + 1 + 2 * ell
     d2 = 4.0 * coupling_delta * coupling_delta
-    return M * (lam * lam - d2) / (lam * lam + d2)
+    # the ratio first: M·(Λ² − 4δ²) alone overflows near the top of double range
+    return M * ((lam * lam - d2) / (lam * lam + d2))
 
 
 def bound_energy_bisection(M: float, coupling_delta: float, n_r: int, ell: int) -> float:
     """Root of the pole-condition residual by bisection on (−M, M).
 
-    The residual touches zero at E = −M, rises to a positive maximum at
-    E = −2δM/√(Λ²+4δ²), and decreases through the physical root to a
-    negative value at E = M; bisecting to the right of the maximum
-    brackets exactly one sign change.
+    The residual is M times its value at mass 1 and ε = E/M, so the
+    bisection runs in ε and returns M·ε; M² never forms, and the root is
+    found for any M in double range.  In ε the residual touches zero at
+    ε = −1, rises to a positive maximum at ε = −2δ/√(Λ²+4δ²), and
+    decreases through the physical root to a negative value at ε = 1;
+    bisecting to the right of the maximum brackets exactly one sign
+    change.
     """
     n_r, ell = _check_quantum_numbers(n_r, ell)
     M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n_r + 1 + 2 * ell
-    lo = -2.0 * coupling_delta * M / math.sqrt(lam * lam + 4.0 * coupling_delta ** 2)
-    hi = M * (1.0 - 1e-13)
-    flo = _residual(lo, M, coupling_delta, lam)
-    fhi = _residual(hi, M, coupling_delta, lam)
+    lo = -2.0 * coupling_delta / math.hypot(lam, 2.0 * coupling_delta)
+    hi = 1.0 - 1e-13
+    flo = _residual(lo, 1.0, coupling_delta, lam)
+    fhi = _residual(hi, 1.0, coupling_delta, lam)
     if not (flo > 0.0 > fhi):
         raise NoRoot(
-            f"residual does not change sign on [{lo!r}, {hi!r}] "
+            f"residual does not change sign on E/M in [{lo!r}, {hi!r}] "
             f"(f(lo) = {flo!r}, f(hi) = {fhi!r}); coupling too weak to bracket"
         )
-    return scipy.optimize.bisect(_residual, lo, hi, args=(M, coupling_delta, lam),
-                                 xtol=1e-15 * M)
+    return M * scipy.optimize.bisect(_residual, lo, hi, args=(1.0, coupling_delta, lam),
+                                     xtol=1e-15)
 
 
 def nonrel_energy(M: float, coupling_delta: float, n: int, ell: int) -> float:

@@ -16,8 +16,6 @@ import sys
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .errors import (DomainError, Overflow, RealnessViolation, check_finite,
                      check_index, check_positive)
 from .special import hyp1f1, log_gamma
@@ -256,6 +254,9 @@ def scattering_amplitude(
         a θ array of more than one dimension, or for a phase shift that
         is not finite or so large that 2δ overflows.
     """
+    # Imported here, its only user, so that importing ptdrsc loads no numpy.
+    import numpy as np
+
     angles = np.asarray(theta, dtype=float)
     k = check_positive(k, "wave number")
     if angles.ndim > 1:

@@ -24,8 +24,7 @@ All operations are pure and hold no mutable state.
 import cmath
 import math
 
-import scipy
-
+from ._lazy import lazy_module
 from .errors import (
     DomainError,
     NoConvergence,
@@ -43,6 +42,8 @@ __all__ = [
     "dawson",
     "erfi",
 ]
+
+scipy = lazy_module("scipy")
 
 _POLE_TOL = 1e-12
 
@@ -179,7 +180,10 @@ def _series(a: complex, b: complex, z: complex) -> complex:
             if peak * 2.2e-16 / max(abs(val), 1e-300) <= _SERIES_RTOL:
                 return val
             dps = int(math.log10(peak)) + 30  # peak ≥ 1, the first term
-    return _series_mp(a, b, z, dps)
+    val = _series_mp(a, b, z, dps)
+    if not cmath.isfinite(val):
+        raise Overflow(f"1F1({a!r}; {b!r}; {z!r}) exceeds double range")
+    return val
 
 
 def _asym_sum(p: complex, q: complex, w: complex):
@@ -221,9 +225,13 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
     sign = -1.0 if z.imag < 0.0 else 1.0
     lg_b = log_gamma(b)
     s1, e1 = _asym_sum(b - a, 1.0 - a, z)
-    t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
     s2, e2 = _asym_sum(a, a - b + 1.0, -z)
-    t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a - a * cmath.log(z)) * s2
+    try:
+        t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
+        t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a
+                       - a * cmath.log(z)) * s2
+    except OverflowError:
+        raise Overflow(f"1F1({a!r}; {b!r}; {z!r}) exceeds double range") from None
     val = t1 + t2
     mag = max(abs(val), 1e-300)
     err = (abs(t1) * e1 + abs(t2) * e2) / mag + 5e-16 * max(abs(t1), abs(t2)) / mag
@@ -250,6 +258,8 @@ def hyp1f1(a, b, z) -> complex:
         If b is (within 1e-12 of) a non-positive integer.
     NoConvergence
         If neither the series nor the asymptotic branch meets tolerance.
+    Overflow
+        If F(a; b; z) exceeds the double-precision range.
 
     Notes
     -----

@@ -8,15 +8,17 @@ two-parameter screened-Rutherford shape
     dcs(theta) = Phi / (1 - cos(theta) + Gamma)^2
 
 both integrals have closed forms, and the pair (sigma_tot, sigma_tr)
-can be inverted back to (Phi, Gamma).
+can be inverted back to (Phi, Gamma): a safeguarded Newton iteration on
+log10 Gamma, in the standard ``math`` module, finds the Gamma whose
+closed-form transport ratio matches, and bisection inside the bracket
+backs it up.
 """
 
 import math
 from dataclasses import dataclass
 from typing import Callable
 
-import scipy
-
+from ._lazy import lazy_module
 from .errors import DomainError, NonIntegrable, NoRoot, check_positive
 
 __all__ = [
@@ -35,12 +37,20 @@ __all__ = [
     "fit_screened",
 ]
 
+scipy = lazy_module("scipy")
+
 _EPSREL = 1e-9
 # below u = 2/Gamma = 0.01 the ratio uses its alternating series
 _RATIO_SERIES_U = 1e-2
 # log10 bracket for the ratio inversion
 _FIT_LOG_LO = -14.0
 _FIT_LOG_HI = 14.0
+# stop once a step moves log10 Gamma by less than this
+_FIT_XTOL = 1e-15
+# a Newton step that fails to halve one below this has met the rounding
+# of the ratio, and the solver stops there instead of bisecting
+_FIT_FLOOR = 1e-6
+_LN10 = math.log(10.0)
 
 
 @dataclass(frozen=True)
@@ -193,25 +203,50 @@ def screened_transport_ratio(model: ScreenedRutherford) -> float:
 def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
     """Invert (sigma_tot, sigma_tr) to the unique model reproducing them.
 
-    The ratio sigma_tr/sigma_tot pins Gamma (solved by bracketed
-    root-finding on log Gamma), after which Phi follows from the total.
+    The ratio sigma_tr/sigma_tot pins Gamma, after which Phi follows from
+    the total.  Gamma is found in x = log10 Gamma, inside the bracket
+    1e-14 <= Gamma <= 1e14, by Newton steps on logit R(x) - logit(ratio)
+    for the closed-form ratio R; the logit is close to linear in x at
+    both ends of the bracket, and R's own slope is
+    dR/dln Gamma = ((2+u)R - 2)/(1+u) at u = 2/Gamma.  A step that would
+    leave the bracket, or that fails to halve the one before it, is
+    replaced by bisection; once the steps are below 1e-6 such a step
+    means the iterate has met the rounding of R, and the solver stops.
     Raises NoRoot when the ratio falls outside the attainable band.
     """
     sigma_tot = check_positive(sigma_tot, "sigma_tot")
     sigma_tr = check_positive(sigma_tr, "sigma_tr")
     ratio = sigma_tr / sigma_tot
-
-    def h(log10_gamma):
-        return _ratio_from_u(2.0 * 10.0 ** (-log10_gamma)) - ratio
-
-    h_lo, h_hi = h(_FIT_LOG_LO), h(_FIT_LOG_HI)
-    if not (h_lo < 0.0 < h_hi):
+    r_lo = _ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_LO)
+    r_hi = _ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_HI)
+    if not (r_lo < ratio < r_hi):
         raise NoRoot(
             f"transport ratio {ratio!r} outside the attainable range "
-            f"({_ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_LO)!r}, "
-            f"{_ratio_from_u(2.0 * 10.0 ** -_FIT_LOG_HI)!r}) of the model"
+            f"({r_lo!r}, {r_hi!r}) of the model"
         )
-    log10_gamma = scipy.optimize.brentq(h, _FIT_LOG_LO, _FIT_LOG_HI, xtol=1e-14, rtol=8.9e-16)
-    gamma = 10.0 ** log10_gamma
+    target = math.log(ratio / (1.0 - ratio))
+    lo, hi = _FIT_LOG_LO, _FIT_LOG_HI
+    x, last_step = 0.0, hi - lo
+    while True:
+        u = 2.0 * 10.0 ** -x
+        r = _ratio_from_u(u)
+        g = math.log(r / (1.0 - r)) - target
+        if g < 0.0:
+            lo = x
+        elif g > 0.0:
+            hi = x
+        else:
+            break
+        slope = _LN10 * ((2.0 + u) * r - 2.0) / ((1.0 + u) * r * (1.0 - r))
+        step = g / slope if slope > 0.0 else math.inf
+        if not (lo < x - step < hi) or abs(2.0 * step) > abs(last_step):
+            if abs(last_step) <= _FIT_FLOOR:
+                break
+            step = x - 0.5 * (lo + hi)
+        x -= step
+        last_step = step
+        if abs(step) <= _FIT_XTOL * max(1.0, abs(x)):
+            break
+    gamma = 10.0 ** x
     phi = sigma_tot * gamma * (gamma + 2.0) / (4.0 * math.pi)
     return ScreenedRutherford(phi=phi, gamma_screen=gamma)

@@ -51,6 +51,16 @@ def test_bisection_matches_closed_form():
                     assert abs(closed - rooted) < 1e-12 * M
 
 
+@pytest.mark.parametrize("M", [5e-324, 1e-310, 1e-300, 1e300, 1.7e308])
+def test_bisection_at_extreme_mass(M):
+    # the bisection runs in E/M, so M^2 never leaves double range
+    for d in (0.1, 0.7, 2.0):
+        for n_r, ell in ((0, 0), (2, 3)):
+            closed = bound_energy(M, d, n_r, ell)
+            rooted = bound_energy_bisection(M, d, n_r, ell)
+            assert abs(closed - rooted) <= 1e-12 * M
+
+
 def test_residual_sign_structure():
     # residual is positive left of the level and negative right of it
     # (to the right of its interior maximum)

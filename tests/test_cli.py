@@ -41,14 +41,15 @@ def run_cli(*argv, check=False):
 
 # Loaded on first use only; importing the package or running a command
 # that needs none of them must leave them out of sys.modules.
-HEAVY_MODULES = ("scipy.special", "scipy.integrate", "scipy.optimize", "mpmath")
+HEAVY_MODULES = ("numpy", "scipy.special", "scipy.integrate", "scipy.optimize", "mpmath")
 
 
 @pytest.mark.parametrize("argv", [
     None,
     GOLDEN_CASES["bound_states.csv"],
     GOLDEN_CASES["angular.json"],
-], ids=["import", "bound-states", "angular"])
+    GOLDEN_CASES["screened_fit.json"],
+], ids=["import", "bound-states", "angular", "screened-fit"])
 def test_cold_start_leaves_heavy_modules_unloaded(argv):
     if argv is None:
         code = "import ptdrsc"

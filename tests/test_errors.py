@@ -194,6 +194,11 @@ EXTREME_CASES = [
     ("coulomb_cross_section(k=5e-324)", lambda: radial.coulomb_cross_section(1.0, 5e-324, 1.0)),
     ("coulomb_cross_section(theta=1e-300)",
      lambda: radial.coulomb_cross_section(1.0, 1.0, 1e-300)),
+    # F beyond double range: the large-|z| expansion, and the series that
+    # b - a = 0 forces (e^800)
+    ("hyp1f1(0.5, 1, 720)", lambda: special.hyp1f1(0.5, 1.0, 720.0)),
+    ("hyp1f1(0.5, 1, 800)", lambda: special.hyp1f1(0.5, 1.0, 800.0)),
+    ("hyp1f1(2, 2, 800)", lambda: special.hyp1f1(2.0, 2.0, 800.0)),
 ]
 
 

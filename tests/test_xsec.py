@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from ptdrsc.errors import DomainError, NonIntegrable, NoRoot
+from ptdrsc.xsec import _FIT_LOG_HI, _FIT_LOG_LO, _ratio_from_u
 from ptdrsc.xsec import (
     ScreenedRutherford,
     backward_probability,
@@ -119,6 +121,33 @@ def test_fit_round_trip():
             assert abs(f.phi / phi - 1.0) < 1e-8
             assert abs(screened_sigma_total(f) / tot - 1.0) < 1e-8
             assert abs(screened_sigma_transport(f) / tr - 1.0) < 1e-8
+
+
+def test_fit_matches_brentq_oracle():
+    # the second route to Gamma: scipy's brentq on the same log10 bracket
+    for gamma in np.geomspace(1e-6, 1e6, 49):
+        for phi in (0.1, 1.0, 10.0):
+            m = ScreenedRutherford(phi=phi, gamma_screen=float(gamma))
+            tot, tr = screened_sigma_total(m), screened_sigma_transport(m)
+            f = fit_screened(tot, tr)
+            assert abs(screened_sigma_total(f) / tot - 1.0) <= 1e-13
+            assert abs(screened_sigma_transport(f) / tr - 1.0) <= 1e-13
+            ratio = tr / tot
+            log10_gamma = brentq(lambda x: _ratio_from_u(2.0 * 10.0 ** -x) - ratio,
+                                 _FIT_LOG_LO, _FIT_LOG_HI, xtol=1e-14, rtol=8.9e-16)
+            assert abs(f.gamma_screen / 10.0 ** log10_gamma - 1.0) <= 1e-9
+
+
+def test_fit_bracket_edges():
+    # the ratios at the ends of the bracket are limits: reaching one is
+    # NoRoot, one ulp inside still fits a Gamma within the bracket
+    for log10_gamma, inward in ((_FIT_LOG_LO, math.inf), (_FIT_LOG_HI, -math.inf)):
+        edge = _ratio_from_u(2.0 * 10.0 ** -log10_gamma)
+        for outside in (edge, math.nextafter(edge, -inward)):
+            with pytest.raises(NoRoot):
+                fit_screened(1.0, outside)
+        fitted = fit_screened(1.0, math.nextafter(edge, inward)).gamma_screen
+        assert 10.0 ** _FIT_LOG_LO <= fitted <= 10.0 ** _FIT_LOG_HI
 
 
 def test_fit_rejects_unattainable_ratio():
