@@ -47,8 +47,8 @@ _FIT_LOG_LO = -14.0
 _FIT_LOG_HI = 14.0
 # stop once a step moves log10 Gamma by less than this
 _FIT_XTOL = 1e-15
-# a Newton step that fails to halve one below this has met the rounding
-# of the ratio, and the solver stops there instead of bisecting
+# a Newton step that leaves the bracket or fails to halve a Newton step
+# below this has met the rounding of the ratio, and the solver stops
 _FIT_FLOOR = 1e-6
 _LN10 = math.log(10.0)
 
@@ -209,9 +209,10 @@ def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
     for the closed-form ratio R; the logit is close to linear in x at
     both ends of the bracket, and R's own slope is
     dR/dln Gamma = ((2+u)R - 2)/(1+u) at u = 2/Gamma.  A step that would
-    leave the bracket, or that fails to halve the one before it, is
-    replaced by bisection; once the steps are below 1e-6 such a step
-    means the iterate has met the rounding of R, and the solver stops.
+    leave the bracket, or that fails to halve the Newton step before it,
+    is replaced by bisection; right after a Newton step below 1e-6, such
+    a step means the iterate has met the rounding of R, and the solver
+    stops.
     Raises NoRoot when the ratio falls outside the attainable band.
     """
     sigma_tot = check_positive(sigma_tot, "sigma_tot")
@@ -226,7 +227,7 @@ def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
         )
     target = math.log(ratio / (1.0 - ratio))
     lo, hi = _FIT_LOG_LO, _FIT_LOG_HI
-    x, last_step = 0.0, hi - lo
+    x, last_step = 0.0, math.inf
     while True:
         u = 2.0 * 10.0 ** -x
         r = _ratio_from_u(u)
@@ -239,12 +240,15 @@ def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:
             break
         slope = _LN10 * ((2.0 + u) * r - 2.0) / ((1.0 + u) * r * (1.0 - r))
         step = g / slope if slope > 0.0 else math.inf
-        if not (lo < x - step < hi) or abs(2.0 * step) > abs(last_step):
-            if abs(last_step) <= _FIT_FLOOR:
-                break
+        inside = lo < x - step < hi
+        if inside and abs(2.0 * step) <= last_step:
+            last_step = abs(step)
+        elif last_step <= _FIT_FLOOR:
+            break
+        else:
             step = x - 0.5 * (lo + hi)
+            last_step = math.inf  # the next Newton step starts afresh
         x -= step
-        last_step = step
         if abs(step) <= _FIT_XTOL * max(1.0, abs(x)):
             break
     gamma = 10.0 ** x

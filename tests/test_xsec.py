@@ -140,14 +140,17 @@ def test_fit_matches_brentq_oracle():
 
 def test_fit_bracket_edges():
     # the ratios at the ends of the bracket are limits: reaching one is
-    # NoRoot, one ulp inside still fits a Gamma within the bracket
+    # NoRoot, one ulp inside still fits a Gamma within the bracket that
+    # reproduces the ratio
     for log10_gamma, inward in ((_FIT_LOG_LO, math.inf), (_FIT_LOG_HI, -math.inf)):
         edge = _ratio_from_u(2.0 * 10.0 ** -log10_gamma)
         for outside in (edge, math.nextafter(edge, -inward)):
             with pytest.raises(NoRoot):
                 fit_screened(1.0, outside)
-        fitted = fit_screened(1.0, math.nextafter(edge, inward)).gamma_screen
-        assert 10.0 ** _FIT_LOG_LO <= fitted <= 10.0 ** _FIT_LOG_HI
+        ratio = math.nextafter(edge, inward)
+        fitted = fit_screened(1.0, ratio)
+        assert 10.0 ** _FIT_LOG_LO <= fitted.gamma_screen <= 10.0 ** _FIT_LOG_HI
+        assert abs(screened_transport_ratio(fitted) / ratio - 1.0) <= 1e-13
 
 
 def test_fit_rejects_unattainable_ratio():
