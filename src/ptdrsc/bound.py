@@ -68,6 +68,10 @@ def bound_energy(M: float, coupling_delta: float, n_r: int, ell: int) -> float:
     M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n_r + 1 + 2 * ell
     d2 = 4.0 * coupling_delta * coupling_delta
+    if d2 == math.inf:
+        # δ ≳ 6.7e153: the same ratio as (t − 1)/(t + 1), t = (Λ/2δ)² → 0
+        t = (lam / (2.0 * coupling_delta)) ** 2
+        return M * ((t - 1.0) / (t + 1.0))
     # the ratio first: M·(Λ² − 4δ²) alone overflows near the top of double range
     return M * ((lam * lam - d2) / (lam * lam + d2))
 
@@ -109,7 +113,13 @@ def nonrel_energy(M: float, coupling_delta: float, n: int, ell: int) -> float:
     n, ell = _check_quantum_numbers(n, ell)
     M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n + 1 + 2 * ell
-    return -8.0 * M * coupling_delta * coupling_delta / (lam * lam)
+    energy = -8.0 * M * coupling_delta * coupling_delta / (lam * lam)
+    if energy == -math.inf:
+        # 8M·δ² overflowed first; dividing before multiplying by M keeps
+        # every level that double precision can hold
+        ratio = coupling_delta / lam
+        energy = M * (-8.0 * ratio * ratio)
+    return energy
 
 
 def bound_level(M: float, coupling_delta: float, n_r: int, ell: int) -> BoundLevel:

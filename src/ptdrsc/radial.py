@@ -8,6 +8,12 @@ exact regular solution
 real despite its complex building blocks.  On the k/2π scale the
 asymptotic amplitude is exactly 2 and the phase shift is the argument of
 Γ(ℓ + 1/2 − iη) with η = (M+E)δ/k.
+
+Accuracy contract
+-----------------
+phase_shift
+    error ≤ 2e-12 rad, taken after wrapping into (−π, π], for ℓ ≤ 3000
+    and 0.01 ≤ η ≤ 200.
 """
 
 import cmath

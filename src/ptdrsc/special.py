@@ -4,23 +4,37 @@ terminating Gauss ₂F₁, Dawson function, and imaginary error function.
 Accuracy contracts
 ------------------
 log_gamma
-    ``scipy.special.loggamma`` on the principal branch, the imaginary part
-    not reduced mod 2π; error ≤ 1e-12·max(1, |log Γ|) for
+    scipy's ``loggamma`` on the principal branch, the imaginary part not
+    reduced mod 2π; error ≤ 1e-12·max(1, |log Γ|) for
     |Re z|, |Im z| ≤ 1e3.
 hyp1f1
     relative accuracy ≤ 1e-10 for |z| ≤ 50; above the series/asymptotic
     switch radius the large-|z| expansion is used whenever its internal
     error estimate passes, with a high-precision series rescue otherwise.
 hyp2f1_terminating
-    ``scipy.special.hyp2f1`` at a = −n; on the angular levels
+    scipy's ``hyp2f1`` at a = −n; on the angular levels
     (sin q)^χ (cos q)^λ ₂F₁(−n, χ+λ+n; χ+½; sin²q) the error is
     ≤ 1e-12 of the level's peak for n ≤ 30.
 dawson / erfi
     relative accuracy ≤ 1e-12 for |x| ≤ 20.
 
+Scalar entry points
+-------------------
+``log_gamma``, ``hyp2f1_terminating``, ``dawson`` and ``erfi`` call
+``scipy.special.cython_special``, which takes and returns Python scalars,
+so a call pays neither numpy-scalar boxing nor ufunc type resolution.  Its
+values are those of the ``scipy.special`` ufuncs bit for bit.  The module
+loads on the first call, so importing ``special`` loads no scipy.
+
+Conjugate Poincaré series
+-------------------------
+The large-|z| expansion of ₁F₁ (DLMF §13.7) sums two series.  For the
+Coulomb-wave arguments a = ℓ+½−iη, b = 2ℓ+1, z = −2ikr the second one has
+the conjugate parameters and argument of the first, so its sum is taken
+as the conjugate of the first, with the same bits as summing it.
+
 All operations are pure and hold no mutable state.
 """
-
 import cmath
 import math
 
@@ -43,7 +57,7 @@ __all__ = [
     "erfi",
 ]
 
-scipy = lazy_module("scipy")
+cython_special = lazy_module("scipy.special.cython_special")
 
 _POLE_TOL = 1e-12
 
@@ -59,7 +73,7 @@ _F64_DIRECT_LIMIT = 600.0 # skip the double series beyond this (at |z| = 600
 
 def _require_finite_complex(z: complex, name: str) -> complex:
     z = complex(z)
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    if not cmath.isfinite(z):
         raise DomainError(f"{name} must be finite, got {z!r}")
     return z
 
@@ -86,7 +100,7 @@ def log_gamma(z) -> complex:
     z = _require_finite_complex(z, "z")
     if z.real <= _POLE_TOL and _is_nonpositive_int(z):  # inline gate: no call on the hot path
         raise PoleError(f"log_gamma pole at z = {round(z.real)} (got {z!r})")
-    return complex(scipy.special.loggamma(z))
+    return cython_special.loggamma(z)
 
 
 def _is_nonpositive_int(w) -> bool:
@@ -110,9 +124,13 @@ def _series_f64(a: complex, b: complex, z: complex):
         at = abs(term)
         if not at < 1e290:
             return total, math.inf
-        peak = max(peak, abs(total), at)
+        mag = abs(total)
+        if mag > peak:
+            peak = mag
+        if at > peak:
+            peak = at
         n += 1
-        if at <= 1e-16 * max(abs(total), 1e-300):
+        if at <= 1e-16 * (mag if mag > 1e-300 else 1e-300):
             below += 1
             if below >= 3:
                 return total, peak
@@ -194,16 +212,19 @@ def _asym_sum(p: complex, q: complex, w: complex):
     """
     term = complex(1.0)
     total = complex(1.0)
+    at = 1.0  # |term|, carried from one step to the next
     min_ratio = 1.0
     n = 0
     while n < 500:
         nxt = term * (p + n) * (q + n) / ((n + 1) * w)
-        if abs(nxt) >= abs(term):
+        a_nxt = abs(nxt)
+        if a_nxt >= at:
             break
-        term = nxt
+        term, at = nxt, a_nxt
         total += term
         n += 1
-        ratio = abs(term) / max(abs(total), 1e-300)
+        mag = abs(total)
+        ratio = at / (mag if mag > 1e-300 else 1e-300)
         if ratio < min_ratio:
             min_ratio = ratio
         if ratio <= 1e-17:
@@ -221,11 +242,21 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
     exponentially subdominant and the choice is numerically immaterial,
     except near the boundary where the half-plane rule is the one that
     matches the exact function.
+
+    In the Coulomb case (z purely imaginary, b real and b = 2·Re a, as
+    for every radial wave) the second series has the conjugate
+    parameters and argument of the first (a = conj(b − a),
+    a − b + 1 = conj(1 − a), −z = conj(z)), so it is the conjugate of the
+    first sum and is not summed again.
     """
     sign = -1.0 if z.imag < 0.0 else 1.0
     lg_b = log_gamma(b)
     s1, e1 = _asym_sum(b - a, 1.0 - a, z)
-    s2, e2 = _asym_sum(a, a - b + 1.0, -z)
+    if z.real == 0.0 and b.imag == 0.0 and b.real == 2.0 * a.real:
+        # 0.0 − Im keeps a zero imaginary part +0.0, as the summed series has it
+        s2, e2 = complex(s1.real, 0.0 - s1.imag), e1
+    else:
+        s2, e2 = _asym_sum(a, a - b + 1.0, -z)
     try:
         t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
         t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a
@@ -326,7 +357,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
     if n > 0 and _is_nonpositive_int(c):
         raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
-    val = float(scipy.special.hyp2f1(-n, b, c, x))
+    val = cython_special.hyp2f1(-n, b, c, float(x))  # its dispatch takes no int x
     if not math.isfinite(val):
         raise NoConvergence(f"hyp2f1_terminating({n!r}, {b!r}, {c!r}, {x!r}) came out {val!r}")
     return val
@@ -335,7 +366,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
 def dawson(x: float) -> float:
     """Dawson function F(x) = e^(−x²) ∫₀ˣ e^(t²) dt."""
     x = check_finite(x, "x")
-    return float(scipy.special.dawsn(x))
+    return cython_special.dawsn(x)
 
 
 def erfi(x: float) -> float:
@@ -348,7 +379,7 @@ def erfi(x: float) -> float:
         carries the sign of the would-be infinity (Erfi is odd).
     """
     x = check_finite(x, "x")
-    val = float(scipy.special.erfi(x))
+    val = cython_special.erfi(x)
     if not math.isfinite(val):  # scipy returns ±inf from |x| ≈ 26.642
         sign = "+" if x > 0 else "-"
         raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")

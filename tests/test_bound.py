@@ -3,6 +3,7 @@ and the nonrelativistic limit."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -59,6 +60,36 @@ def test_bisection_at_extreme_mass(M):
             closed = bound_energy(M, d, n_r, ell)
             rooted = bound_energy_bisection(M, d, n_r, ell)
             assert abs(closed - rooted) <= 1e-12 * M
+
+
+@pytest.mark.parametrize("M", [1.0, 3.0, 1.7e308])
+def test_closed_form_past_the_overflow_of_4_delta_squared(M):
+    # 4δ² overflows from δ ≈ 6.7e153; the level is M(t − 1)/(t + 1) with
+    # t = (Λ/2δ)², which is −M to double precision there
+    for d in (6.71e153, 1e154, 1e160, 1e300, 1.7e308):
+        for n_r, ell in ((0, 0), (3, 2), (10**6, 0)):
+            lam = 2 * n_r + 1 + 2 * ell
+            with mpmath.workdps(40):
+                t = (mpmath.mpf(lam) / (2 * mpmath.mpf(d))) ** 2
+                want = float(mpmath.mpf(M) * (t - 1) / (t + 1))
+            assert bound_energy(M, d, n_r, ell) == want, (d, n_r, ell)
+    # below the overflow the closed form keeps its direct evaluation
+    d = 6.7e153
+    lam2, d2 = 25, 4.0 * d * d
+    assert math.isfinite(d2)
+    assert bound_energy(M, d, 2, 0) == M * ((lam2 - d2) / (lam2 + d2))
+
+
+@pytest.mark.parametrize("M,d,n,ell", [(1.7e308, 0.5, 2, 2), (1.0, 1e154, 2, 2),
+                                       (1e300, 3.0, 0, 0), (2.0, 5e153, 0, 1)])
+def test_nonrel_energy_near_the_top_of_double_range(M, d, n, ell):
+    # 8Mδ² overflows before the division by Λ²; the level itself does not
+    lam = 2 * n + 1 + 2 * ell
+    with mpmath.workdps(40):
+        want = float(-8 * mpmath.mpf(M) * mpmath.mpf(d) ** 2 / lam**2)
+    got = nonrel_energy(M, d, n, ell)
+    assert math.isfinite(got)
+    assert abs(got - want) <= 4e-16 * abs(want)
 
 
 def test_residual_sign_structure():

@@ -9,6 +9,7 @@ the argument of mp.gamma.
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -69,6 +70,24 @@ def test_phase_shift_is_gamma_argument():
         got = phase_shift(ctx, ell)
         assert abs(got - want) < 1e-13
         assert -math.pi < got <= math.pi
+
+
+def test_phase_shift_contract_against_mpmath():
+    # the radial docstring's contract: wrapped error <= 2e-12 rad for
+    # l <= 3000 and 0.01 <= eta <= 200, against mpmath.loggamma at 30 digits
+    rng = np.random.default_rng(20261019)
+    with mpmath.workdps(30):
+        for _ in range(400):
+            eta = 10 ** rng.uniform(-2.0, math.log10(200.0))
+            ell = int(rng.integers(0, 3001))
+            E = 1.0 + 10 ** rng.uniform(-3.0, 2.0)
+            k = math.sqrt(E * E - 1.0)
+            ctx = make_context(1.0, E, eta * k / (1.0 + E))
+            raw = mpmath.im(mpmath.loggamma(mpmath.mpc(ell + 0.5, -ctx.sommerfeld)))
+            want = float((raw + mpmath.pi) % (2 * mpmath.pi) - mpmath.pi)
+            got = phase_shift(ctx, ell)
+            err = abs((got - want + math.pi) % (2.0 * math.pi) - math.pi)
+            assert err <= 2e-12, (ell, ctx.sommerfeld, err)
 
 
 def test_phase_shift_gamma_ratio_identity():

@@ -7,6 +7,7 @@ suite never depends on the implementation under test.
 
 import cmath
 import math
+import struct
 from fractions import Fraction
 
 import mpmath
@@ -15,12 +16,19 @@ import pytest
 import scipy.integrate
 import scipy.special
 
-from ptdrsc.errors import DomainError, Overflow, ParameterPole, PoleError
+from ptdrsc import special
+from ptdrsc.errors import DomainError, NoConvergence, Overflow, ParameterPole, PoleError
 from ptdrsc.special import dawson, erfi, hyp1f1, hyp2f1_terminating, log_gamma
 
 
 def _rel(got, want):
     return abs(got - want) / max(abs(want), 1e-300)
+
+
+def _bits(x):
+    """The IEEE bytes of a real or complex value, signed zeros included."""
+    x = complex(x)
+    return struct.pack("<dd", x.real, x.imag)
 
 
 # ---------------------------------------------------------------- log_gamma
@@ -205,6 +213,65 @@ def test_hyp1f1_matches_mpmath_over_contract_disk():
             assert _rel(hyp1f1(a, b, z), want) <= 1e-10, (a, b, z)
 
 
+def _coulomb_points(rng, count):
+    """(a, b, z) = (l + 1/2 - i eta, 2l + 1, -+2ikr) over l <= 200,
+    +-eta in [1e-3, 300] and kr in [12, 1e4], both signs of Im z."""
+    for _ in range(count):
+        ell = int(rng.integers(0, 201))
+        eta = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-3.0, math.log10(300.0))
+        kr = 10 ** rng.uniform(math.log10(12.0), 4.0)
+        yield (complex(ell + 0.5, -eta), complex(2 * ell + 1),
+               complex(0.0, rng.choice([-2.0, 2.0]) * kr))
+
+
+def test_conjugate_poincare_series_equals_the_full_second_sum():
+    # _asymptotic_eval takes (s2, e2) = (conj s1, e1) in the Coulomb case,
+    # with a zero imaginary part kept +0.0; the second series summed in
+    # full must give the same bits
+    rng = np.random.default_rng(20261018)
+    for a, b, z in _coulomb_points(rng, 4000):
+        s1, e1 = special._asym_sum(b - a, 1.0 - a, z)
+        s2, e2 = special._asym_sum(a, a - b + 1.0, -z)
+        assert (_bits(complex(s1.real, 0.0 - s1.imag)), e1) == (_bits(s2), e2), (a, b, z)
+
+
+def test_asymptotic_eval_sums_one_series_only_in_the_coulomb_case(monkeypatch):
+    calls = []
+    real_sum = special._asym_sum
+    monkeypatch.setattr(special, "_asym_sum",
+                        lambda p, q, w: calls.append(w) or real_sum(p, q, w))
+    rng = np.random.default_rng(11)
+    for a, b, z in _coulomb_points(rng, 50):
+        calls.clear()
+        special._asymptotic_eval(a, b, z)
+        assert calls == [z]
+    for a, b, z in [(0.5 - 1j, 1.0 + 0.5j, -40j), (0.7 - 1j, 1.0, -40j),
+                    (0.5 - 1j, 1.0, 1.0 - 40j)]:
+        calls.clear()
+        special._asymptotic_eval(a, b, z)
+        assert calls == [z, -z]
+
+
+def test_hyp1f1_non_coulomb_large_z_matches_mpmath():
+    # past the switch radius, inputs that miss the conjugate shortcut
+    # by one condition each still agree with mpmath
+    rng = np.random.default_rng(20261020)
+    points = []
+    for _ in range(100):
+        ell = int(rng.integers(0, 11))
+        eta = rng.uniform(-5.0, 5.0)
+        points.append((complex(ell + 0.5, -eta), complex(2 * ell + 1, rng.uniform(-3.0, 3.0)),
+                       complex(0.0, -2.0 * rng.uniform(15.5, 60.0))))
+        points.append((complex(ell + 0.5 + rng.uniform(-2.0, 2.0), -eta), complex(2 * ell + 1),
+                       complex(0.0, -2.0 * rng.uniform(15.5, 60.0))))
+        points.append((complex(ell + 0.5, -eta), complex(2 * ell + 1),
+                       cmath.rect(rng.uniform(31.0, 120.0), rng.uniform(-math.pi, math.pi))))
+    with mpmath.workdps(40):
+        for a, b, z in points:
+            want = complex(mpmath.hyp1f1(a, b, z))
+            assert _rel(hyp1f1(a, b, z), want) <= 1e-10, (a, b, z)
+
+
 def test_hyp1f1_unit_value_at_origin():
     assert hyp1f1(0.5 - 1.0j, 1.0, 0.0) == 1.0 + 0.0j
 
@@ -329,3 +396,37 @@ def test_erfi_overflow_is_signed():
 def test_erfi_rejects_nan():
     with pytest.raises(DomainError):
         erfi(float("nan"))
+
+
+# ------------------------------------------------- scalar scipy entry points
+
+def test_scalar_entry_points_match_the_scipy_ufuncs_bit_for_bit():
+    # the module calls scipy.special.cython_special; the ufuncs are the
+    # second route, swept over each function's contract domain
+    rng = np.random.default_rng(20261021)
+    for re, im in rng.uniform(-1000.0, 1000.0, size=(2000, 2)):
+        z = complex(re, im)
+        assert _bits(log_gamma(z)) == _bits(scipy.special.loggamma(z)), z
+    for x in np.linspace(0.1, 40.0, 57):
+        assert _bits(log_gamma(x)) == _bits(scipy.special.loggamma(complex(x))), x
+    for _ in range(2000):
+        chi, lam = rng.uniform(0.0, 8.0), rng.uniform(0.5, 8.0)
+        n = int(rng.integers(0, 31))
+        x = math.sin(rng.uniform(0.0, 0.5 * math.pi)) ** 2
+        args = (n, chi + lam + n, chi + 0.5, x)
+        assert _bits(hyp2f1_terminating(*args)) == _bits(scipy.special.hyp2f1(-n, *args[1:])), args
+    for x in rng.uniform(-20.0, 20.0, 2000):
+        assert _bits(dawson(x)) == _bits(scipy.special.dawsn(x)), x
+        assert _bits(erfi(x)) == _bits(scipy.special.erfi(x)), x
+    assert isinstance(log_gamma(2.5 - 1j), complex)
+    assert all(type(v) is float for v in (hyp2f1_terminating(3, 2.5, 3.5, 0.3),
+                                          hyp2f1_terminating(3, 2.5, 3.5, 1),
+                                          dawson(1.0), erfi(1.0)))
+
+
+def test_scalar_entry_points_keep_their_errors():
+    for x, sign in ((26.7, "+"), (-26.7, "-")):
+        with pytest.raises(Overflow, match=rf"sign \{sign}"):
+            erfi(x)
+    with pytest.raises(NoConvergence):
+        hyp2f1_terminating(10**6, 2.5, 3.5, 0.3)

@@ -14,8 +14,10 @@ run the one benchmark definition.
 
 The output holds every run's end-to-end metrics, its ``correct``,
 ``attempted`` and ``failed`` counts, and per workload and metric each side's
-median and quartiles and the number of pairs the change wins (ties count for
-neither side).  The file is rewritten after every pair, so an interrupted
+median and quartiles, the median and quartiles of the change/parent ratio
+within each pair, and the number of pairs the change wins (ties count for
+neither side).  The within-pair ratio cancels the host's drift between pairs,
+which moves both sides of a pair alike; the side medians do not.  The file is rewritten after every pair, so an interrupted
 session keeps the pairs it finished.
 """
 
@@ -75,7 +77,8 @@ def spread(values):
 
 
 def summarize(runs, metrics):
-    """Per metric: each side's median and quartiles, and the change's pair wins."""
+    """Per metric: each side's median and quartiles, the same for the
+    change/parent ratio within each pair, and the change's pair wins."""
     out = {}
     for name, better in metrics.items():
         pairs = [(r["parent"]["metrics"][name], r["change"]["metrics"][name]) for r in runs]
@@ -86,6 +89,8 @@ def summarize(runs, metrics):
             "better": better,
             "parent": spread([p for p, _ in pairs]),
             "change": spread([c for _, c in pairs]),
+            # None where a parent run reads 0 and the ratio has no value
+            "ratio": spread([c / p for p, c in pairs]) if all(p for p, _ in pairs) else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "ties": sum(c == p for p, c in pairs),
             "pairs": len(pairs),
