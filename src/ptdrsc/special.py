@@ -35,6 +35,7 @@ as the conjugate of the first, with the same bits as summing it.
 
 All operations are pure and hold no mutable state.
 """
+
 import cmath
 import math
 

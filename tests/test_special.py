@@ -238,8 +238,12 @@ def test_conjugate_poincare_series_equals_the_full_second_sum():
 def test_asymptotic_eval_sums_one_series_only_in_the_coulomb_case(monkeypatch):
     calls = []
     real_sum = special._asym_sum
-    monkeypatch.setattr(special, "_asym_sum",
-                        lambda p, q, w: calls.append(w) or real_sum(p, q, w))
+
+    def counting_sum(p, q, w):
+        calls.append(w)
+        return real_sum(p, q, w)
+
+    monkeypatch.setattr(special, "_asym_sum", counting_sum)
     rng = np.random.default_rng(11)
     for a, b, z in _coulomb_points(rng, 50):
         calls.clear()
