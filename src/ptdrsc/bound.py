@@ -113,13 +113,10 @@ def nonrel_energy(M: float, coupling_delta: float, n: int, ell: int) -> float:
     n, ell = _check_quantum_numbers(n, ell)
     M, coupling_delta = _check_mass_coupling(M, coupling_delta)
     lam = 2 * n + 1 + 2 * ell
-    energy = -8.0 * M * coupling_delta * coupling_delta / (lam * lam)
-    if energy == -math.inf:
-        # 8M·δ² overflowed first; dividing before multiplying by M keeps
-        # every level that double precision can hold
-        ratio = coupling_delta / lam
-        energy = M * (-8.0 * ratio * ratio)
-    return energy
+    # dividing before multiplying by M keeps every level that double
+    # precision can hold; 8M·δ² alone overflows near the top of double range
+    ratio = coupling_delta / lam
+    return M * (-8.0 * ratio * ratio)
 
 
 def bound_level(M: float, coupling_delta: float, n_r: int, ell: int) -> BoundLevel:
