@@ -31,7 +31,8 @@ Conjugate Poincaré series
 The large-|z| expansion of ₁F₁ (DLMF §13.7) sums two series.  For the
 Coulomb-wave arguments a = ℓ+½−iη, b = 2ℓ+1, z = −2ikr the second one has
 the conjugate parameters and argument of the first, so its sum is taken
-as the conjugate of the first, with the same bits as summing it.
+as the conjugate of the first, with the same bits as summing it; for
+η ≠ 0, log Γ(b − a) = log Γ(ā) is likewise the conjugate of log Γ(a).
 
 All operations are pure and hold no mutable state.
 """
@@ -248,19 +249,28 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
     for every radial wave) the second series has the conjugate
     parameters and argument of the first (a = conj(b − a),
     a − b + 1 = conj(1 − a), −z = conj(z)), so it is the conjugate of the
-    first sum and is not summed again.
+    first sum and is not summed again.  There, off the real axis,
+    log Γ(b − a) = log Γ(ā) is likewise taken as the conjugate of log Γ(a).
     """
     sign = -1.0 if z.imag < 0.0 else 1.0
     lg_b = log_gamma(b)
+    lg_a = log_gamma(a)
     s1, e1 = _asym_sum(b - a, 1.0 - a, z)
-    if z.real == 0.0 and b.imag == 0.0 and b.real == 2.0 * a.real:
+    coulomb = z.real == 0.0 and b.imag == 0.0 and b.real == 2.0 * a.real
+    if coulomb:
         # 0.0 − Im keeps a zero imaginary part +0.0, as the summed series has it
         s2, e2 = complex(s1.real, 0.0 - s1.imag), e1
     else:
         s2, e2 = _asym_sum(a, a - b + 1.0, -z)
+    if coulomb and a.imag != 0.0:
+        # scipy's log Γ(ā) is the conjugate of log Γ(a) off the real axis;
+        # on it, a −0.0 imaginary part or the branch at negative a breaks it
+        lg_ba = complex(lg_a.real, 0.0 - lg_a.imag)
+    else:
+        lg_ba = log_gamma(b - a)
     try:
-        t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
-        t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a
+        t1 = cmath.exp(lg_b - lg_a + z + (a - b) * cmath.log(z)) * s1
+        t2 = cmath.exp(lg_b - lg_ba + sign * 1j * math.pi * a
                        - a * cmath.log(z)) * s2
     except OverflowError:
         raise Overflow(f"1F1({a!r}; {b!r}; {z!r}) exceeds double range") from None

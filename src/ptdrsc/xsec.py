@@ -2,8 +2,9 @@
 
 Any differential cross section is represented as a plain callable
 ``dcs(theta) -> dsigma/dOmega`` on (0, pi].  Total and transport cross
-sections are adaptive quadratures of it over the sphere; for the
-two-parameter screened-Rutherford shape
+sections are adaptive quadratures of it over the sphere, and the
+cumulative scattering probability splits the sphere at theta and
+integrates each side once; for the two-parameter screened-Rutherford shape
 
     dcs(theta) = Phi / (1 - cos(theta) + Gamma)^2
 
@@ -12,6 +13,23 @@ can be inverted back to (Phi, Gamma): a safeguarded Newton iteration on
 log10 Gamma, in the standard ``math`` module, finds the Gamma whose
 closed-form transport ratio matches, and bisection inside the bracket
 backs it up.
+
+Accuracy contract
+-----------------
+quadratures (sigma_total, sigma_transport, scatter_probability)
+    on the screened shape with 1e-3 <= Gamma <= 1e3, 1e-2 <= Phi <= 1e2
+    and 1e-3 <= theta <= pi: within 1e-8 relative of the closed forms,
+    P(theta) = [1/Gamma - 1/(1 - cos(theta) + Gamma)] / [1/Gamma - 1/(2 + Gamma)]
+    for the probability.  That is ten times the quadrature's target
+    _EPSREL; most values are within 1e-12, and the worst seen over 500,000
+    values of Gamma was 1.4e-9.  Below Gamma = 1e-3, QUADPACK's error
+    estimate misses the forward peak (width ~sqrt(Gamma)) in narrow
+    windows of Gamma, by 1e-7 at Gamma = 1.6508e-4 and 1e-3 at
+    Gamma = 1.3497e-5, so no contract is stated there.
+closed forms (screened_sigma_total, screened_sigma_transport,
+screened_transport_ratio)
+    within 1e-14 relative of the defining integrals for
+    1e-6 <= Gamma <= 1e6.
 """
 
 import math
@@ -65,11 +83,11 @@ class ScreenedRutherford:
         check_positive(self.gamma_screen, "gamma_screen")
 
 
-def _sphere_quad(dcs: Callable[[float], float], weight, lo: float, hi: float) -> float:
-    """2*pi * integral of dcs(theta)*weight(theta)*sin(theta) over [lo, hi]."""
+def _sphere_quad(dcs: Callable[[float], float], lo: float, hi: float) -> float:
+    """2*pi * integral of dcs(theta)*sin(theta) over [lo, hi]."""
 
     def integrand(theta):
-        return dcs(theta) * weight(theta) * math.sin(theta)
+        return dcs(theta) * math.sin(theta)
 
     try:
         result = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
@@ -93,13 +111,14 @@ def _sphere_quad(dcs: Callable[[float], float], weight, lo: float, hi: float) ->
 
 def sigma_total(dcs: Callable[[float], float]) -> float:
     """Total cross section 2*pi * int_0^pi dcs(theta) sin(theta) dtheta."""
-    return _sphere_quad(dcs, lambda theta: 1.0, 0.0, math.pi)
+    return _sphere_quad(dcs, 0.0, math.pi)
 
 
 def sigma_transport(dcs: Callable[[float], float]) -> float:
     """Transport cross section, weighted by the momentum-transfer factor
     (1 - cos(theta))."""
-    return _sphere_quad(dcs, lambda theta: 1.0 - math.cos(theta), 0.0, math.pi)
+    return _sphere_quad(lambda theta: dcs(theta) * (1.0 - math.cos(theta)),
+                        0.0, math.pi)
 
 
 def transport_ratio(dcs: Callable[[float], float]) -> float:
@@ -123,19 +142,22 @@ def mean_wide_angle_collisions(number_density: float, path_length: float,
 def scatter_probability(dcs: Callable[[float], float], theta: float) -> float:
     """Cumulative probability of scattering into polar angles <= theta.
 
-    The normalizing total cross section is recomputed with the identical
-    quadrature call, so scatter_probability(dcs, pi) == 1.0 exactly.
+    The sphere is split at theta: [0, theta] and [theta, pi] are each
+    integrated once, and the probability is inner / (inner + outer).  A
+    side of zero width is not integrated and counts as exactly 0.0, so
+    scatter_probability(dcs, 0) == 0.0 and scatter_probability(dcs, pi)
+    == inner / inner == 1.0 exactly.  At theta = 0 the outer side is the
+    whole sphere, so a dcs whose total diverges still raises
+    NonIntegrable, and one whose total is not positive DomainError.
     """
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-    tot = _sphere_quad(dcs, lambda t: 1.0, 0.0, math.pi)
+    inner = _sphere_quad(dcs, 0.0, theta) if theta > 0.0 else 0.0
+    outer = _sphere_quad(dcs, theta, math.pi) if theta < math.pi else 0.0
+    tot = inner + outer
     if tot <= 0.0:
         raise DomainError(f"total cross section {tot!r} is not positive")
-    if theta == 0.0:
-        return 0.0
-    if theta == math.pi:
-        return tot / tot
-    return _sphere_quad(dcs, lambda t: 1.0, 0.0, theta) / tot
+    return inner / tot
 
 
 def forward_probability(dcs: Callable[[float], float]) -> float:

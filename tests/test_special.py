@@ -256,6 +256,48 @@ def test_asymptotic_eval_sums_one_series_only_in_the_coulomb_case(monkeypatch):
         assert calls == [z, -z]
 
 
+def _full_asymptotic_eval(a, b, z):
+    """The large-|z| expansion with both series summed and log Γ(b − a)
+    evaluated, without the Coulomb-case conjugates of _asymptotic_eval."""
+    sign = -1.0 if z.imag < 0.0 else 1.0
+    lg_b = log_gamma(b)
+    s1, e1 = special._asym_sum(b - a, 1.0 - a, z)
+    s2, e2 = special._asym_sum(a, a - b + 1.0, -z)
+    t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
+    t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a
+                   - a * cmath.log(z)) * s2
+    val = t1 + t2
+    mag = max(abs(val), 1e-300)
+    err = (abs(t1) * e1 + abs(t2) * e2) / mag + 5e-16 * max(abs(t1), abs(t2)) / mag
+    return val, err
+
+
+def test_coulomb_asymptotic_eval_matches_the_full_evaluation_bit_for_bit():
+    # the Coulomb case takes the second series and log Γ(b − a) as
+    # conjugates; the value and error estimate that hyp1f1 reads must keep
+    # the bits of the full evaluation, also for real a (η = 0, either sign
+    # of zero) and negative Re a, where scipy's log Γ is not conjugate-
+    # symmetric on the real axis
+    rng = np.random.default_rng(20261019)
+    points = list(_coulomb_points(rng, 2000))
+    for _ in range(200):
+        z = complex(0.0, rng.choice([-2.0, 2.0]) * 10 ** rng.uniform(math.log10(12.0), 4.0))
+        re = rng.uniform(-40.0, 40.0)
+        im = rng.choice([0.0, -0.0, -1.0, 1.0]) * rng.choice([1.0, 10 ** rng.uniform(-3.0, 2.0)])
+        points.append((complex(re, im), complex(2.0 * re), z))
+        ell = int(rng.integers(0, 201))
+        points.append((complex(ell + 0.5, rng.choice([0.0, -0.0])), complex(2 * ell + 1), z))
+    for a, b, z in points:
+        try:
+            want_val, want_err = _full_asymptotic_eval(a, b, z)
+        except OverflowError:
+            with pytest.raises(Overflow):
+                special._asymptotic_eval(a, b, z)
+            continue
+        val, err = special._asymptotic_eval(a, b, z)
+        assert (_bits(val), err) == (_bits(want_val), want_err), (a, b, z)
+
+
 def test_hyp1f1_non_coulomb_large_z_matches_mpmath():
     # past the switch radius, inputs that miss the conjugate shortcut
     # by one condition each still agree with mpmath

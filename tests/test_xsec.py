@@ -3,6 +3,7 @@ scattering probability, and inversion of the screened-Rutherford pair."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -40,15 +41,6 @@ def test_anchor_values():
                                                         rel=1e-13)
 
 
-def test_quadrature_matches_closed_forms():
-    for gamma in np.geomspace(1e-3, 1e3, 7):
-        for phi in (0.1, 1.0, 10.0):
-            m = ScreenedRutherford(phi=phi, gamma_screen=float(gamma))
-            dcs = _model_dcs(m)
-            assert abs(sigma_total(dcs) / screened_sigma_total(m) - 1.0) < 1e-8
-            assert abs(sigma_transport(dcs) / screened_sigma_transport(m) - 1.0) < 1e-8
-
-
 def test_transport_ratio_properties():
     # strictly increasing in Gamma, bounded by (0, 1)
     prev = 0.0
@@ -80,14 +72,22 @@ def test_transport_closed_form_stable_at_strong_screening():
 
 
 def test_scatter_probability_normalization():
-    m = ScreenedRutherford(phi=2.0, gamma_screen=0.4)
-    dcs = _model_dcs(m)
-    assert scatter_probability(dcs, math.pi) == 1.0
-    assert scatter_probability(dcs, 0.0) == 0.0
-    probs = [scatter_probability(dcs, float(t))
-             for t in np.linspace(0.1, math.pi, 12)]
-    assert all(0.0 < p <= 1.0 for p in probs)
-    assert probs == sorted(probs)
+    # the ends are exact: an empty side counts as 0.0, so P(0) = 0/tot and
+    # P(pi) = inner/inner
+    for gamma in (1e-4, 0.4, 7.0, 1e3):
+        dcs = _model_dcs(ScreenedRutherford(phi=2.0, gamma_screen=gamma))
+        assert scatter_probability(dcs, math.pi) == 1.0
+        assert scatter_probability(dcs, 0.0) == 0.0
+        probs = [scatter_probability(dcs, float(t))
+                 for t in np.linspace(0.1, math.pi, 12)]
+        assert all(0.0 < p <= 1.0 for p in probs)
+        assert probs == sorted(probs)
+
+
+def test_scatter_probability_rejects_a_zero_dcs():
+    for theta in (0.0, 1.0, math.pi):
+        with pytest.raises(DomainError):
+            scatter_probability(lambda t: 0.0, theta)
 
 
 def test_hemisphere_split():
@@ -109,6 +109,46 @@ def test_scatter_probability_closed_form():
         mu = 1.0 - math.cos(theta)
         want = (1.0 / g - 1.0 / (mu + g)) / (1.0 / g - 1.0 / (2.0 + g))
         assert scatter_probability(dcs, theta) == pytest.approx(want, rel=1e-9)
+
+
+def test_quadrature_matches_closed_forms():
+    # module contract: cross sections and P(theta) within 1e-8 relative of
+    # the closed forms, for Gamma in [1e-3, 1e3], Phi in [1e-2, 1e2] and
+    # theta in [1e-3, pi]; P in the cancellation-free form
+    # sin^2(t/2) (2 + G) / (2 sin^2(t/2) + G)
+    rng = np.random.default_rng(20261019)
+    for _ in range(300):
+        gamma = 10.0 ** rng.uniform(-3.0, 3.0)
+        m = ScreenedRutherford(phi=10.0 ** rng.uniform(-2.0, 2.0), gamma_screen=gamma)
+        dcs = _model_dcs(m)
+        assert abs(sigma_total(dcs) / screened_sigma_total(m) - 1.0) <= 1e-8, m
+        assert abs(sigma_transport(dcs) / screened_sigma_transport(m) - 1.0) <= 1e-8, m
+        for theta in (10.0 ** rng.uniform(-3.0, math.log10(math.pi)),
+                      rng.uniform(1e-3, math.pi)):
+            s2 = math.sin(0.5 * theta) ** 2
+            want = s2 * (2.0 + gamma) / (2.0 * s2 + gamma)
+            assert abs(scatter_probability(dcs, theta) / want - 1.0) <= 1e-8, (m, theta)
+
+
+def test_screened_closed_forms_match_mpmath_quad():
+    # the defining integrals in theta at 30 digits, split where the
+    # forward peak of width ~sqrt(Gamma) sits
+    for gamma in np.geomspace(1e-6, 1e6, 25):
+        m = ScreenedRutherford(phi=1.0, gamma_screen=float(gamma))
+        with mpmath.workdps(30):
+            g = mpmath.mpf(float(gamma))
+            width = mpmath.sqrt(g)
+            points = ([mpmath.mpf(0)] + [width * 10 ** k for k in range(-2, 4)
+                                         if width * 10 ** k < mpmath.pi] + [mpmath.pi])
+            tot = 2 * mpmath.pi * mpmath.quad(
+                lambda t: mpmath.sin(t) / (1 - mpmath.cos(t) + g) ** 2, points)
+            tr = 2 * mpmath.pi * mpmath.quad(
+                lambda t: (1 - mpmath.cos(t)) * mpmath.sin(t) / (1 - mpmath.cos(t) + g) ** 2,
+                points)
+            for got, want in ((screened_sigma_total(m), tot),
+                              (screened_sigma_transport(m), tr),
+                              (screened_transport_ratio(m), tr / tot)):
+                assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
 
 
 def test_fit_round_trip():
@@ -175,6 +215,9 @@ def test_nonintegrable_dcs_is_reported():
     # still goes like 1/theta, a logarithmic divergence
     with pytest.raises(NonIntegrable):
         sigma_transport(bare)
+    # at theta = 0 the probability still integrates the whole sphere
+    with pytest.raises(NonIntegrable):
+        scatter_probability(bare, 0.0)
 
 
 def test_wide_angle_collision_count():
