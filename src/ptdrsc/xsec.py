@@ -83,12 +83,9 @@ class ScreenedRutherford:
         check_positive(self.gamma_screen, "gamma_screen")
 
 
-def _sphere_quad(dcs: Callable[[float], float], lo: float, hi: float) -> float:
-    """2*pi * integral of dcs(theta)*sin(theta) over [lo, hi]."""
-
-    def integrand(theta):
-        return dcs(theta) * math.sin(theta)
-
+def _sphere_quad(integrand: Callable[[float], float], lo: float, hi: float) -> float:
+    """2*pi * integral of integrand(theta) over [lo, hi]; the integrand
+    carries the sin(theta) of the solid angle."""
     try:
         result = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
                                       limit=200, full_output=1)
@@ -111,14 +108,15 @@ def _sphere_quad(dcs: Callable[[float], float], lo: float, hi: float) -> float:
 
 def sigma_total(dcs: Callable[[float], float]) -> float:
     """Total cross section 2*pi * int_0^pi dcs(theta) sin(theta) dtheta."""
-    return _sphere_quad(dcs, 0.0, math.pi)
+    return _sphere_quad(lambda theta: dcs(theta) * math.sin(theta), 0.0, math.pi)
 
 
 def sigma_transport(dcs: Callable[[float], float]) -> float:
     """Transport cross section, weighted by the momentum-transfer factor
     (1 - cos(theta))."""
-    return _sphere_quad(lambda theta: dcs(theta) * (1.0 - math.cos(theta)),
-                        0.0, math.pi)
+    return _sphere_quad(
+        lambda theta: dcs(theta) * (1.0 - math.cos(theta)) * math.sin(theta),
+        0.0, math.pi)
 
 
 def transport_ratio(dcs: Callable[[float], float]) -> float:
@@ -152,8 +150,12 @@ def scatter_probability(dcs: Callable[[float], float], theta: float) -> float:
     """
     if not (0.0 <= theta <= math.pi):
         raise DomainError(f"theta must lie in [0, pi], got {theta!r}")
-    inner = _sphere_quad(dcs, 0.0, theta) if theta > 0.0 else 0.0
-    outer = _sphere_quad(dcs, theta, math.pi) if theta < math.pi else 0.0
+
+    def integrand(t):
+        return dcs(t) * math.sin(t)
+
+    inner = _sphere_quad(integrand, 0.0, theta) if theta > 0.0 else 0.0
+    outer = _sphere_quad(integrand, theta, math.pi) if theta < math.pi else 0.0
     tot = inner + outer
     if tot <= 0.0:
         raise DomainError(f"total cross section {tot!r} is not positive")
