@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ._lazy import lazy_module
-from .errors import DomainError, NonIntegrable, NoRoot, check_positive
+from .errors import DomainError, NonIntegrable, NoRoot, Overflow, check_positive
 
 __all__ = [
     "ScreenedRutherford",
@@ -56,7 +56,7 @@ __all__ = [
     "fit_screened",
 ]
 
-scipy = lazy_module("scipy")
+integrate = lazy_module("scipy.integrate")
 
 _EPSREL = 1e-9
 # below u = 2/Gamma = 0.01 the ratio uses its alternating series
@@ -88,8 +88,8 @@ def _sphere_quad(integrand: Callable[[float], float], lo: float, hi: float) -> f
     """2*pi * integral of integrand(theta) over [lo, hi]; the integrand
     carries the sin(theta) of the solid angle."""
     try:
-        result = scipy.integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
-                                      limit=200, full_output=1)
+        result = integrate.quad(integrand, lo, hi, epsabs=0.0, epsrel=_EPSREL,
+                                limit=200, full_output=1)
     except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise NonIntegrable(f"cross-section quadrature failed: {exc}") from exc
     value, abserr = result[0], result[1]
@@ -183,9 +183,16 @@ def screened_rutherford_dcs(model: ScreenedRutherford,
 
 
 def screened_sigma_total(model: ScreenedRutherford) -> float:
-    """Closed form 4*pi*Phi / (Gamma*(Gamma + 2))."""
+    """Closed form 4*pi*Phi / (Gamma*(Gamma + 2)); raises Overflow where
+    it leaves double range."""
     g = model.gamma_screen
-    return 4.0 * math.pi * model.phi / (g * (g + 2.0))
+    total = 4.0 * math.pi * model.phi / (g * (g + 2.0))
+    if not math.isfinite(total):
+        # 4*pi*Phi or Gamma*(Gamma + 2) alone overflows where the total may not
+        total = 4.0 * math.pi * (model.phi / g / (g + 2.0))
+        if total == math.inf:
+            raise Overflow(f"sigma_tot of {model!r} exceeds double range")
+    return total
 
 
 def _log_minus_fraction(u: float) -> float:
@@ -208,10 +215,17 @@ def screened_sigma_transport(model: ScreenedRutherford) -> float:
     """Closed form 2*pi*Phi*[ln((Gamma+2)/Gamma) - 2/(Gamma+2)].
 
     Evaluated through the cancellation-free difference, so it stays
-    accurate for arbitrarily strong screening (large Gamma).
+    accurate for arbitrarily strong screening (large Gamma).  Raises
+    Overflow where it leaves double range.
     """
-    u = 2.0 / model.gamma_screen
-    return 2.0 * math.pi * model.phi * _log_minus_fraction(u)
+    f = _log_minus_fraction(2.0 / model.gamma_screen)
+    transport = 2.0 * math.pi * model.phi * f
+    if not math.isfinite(transport):
+        # 2*pi*Phi alone overflows where the transport may not
+        transport = 2.0 * math.pi * (model.phi * f)
+        if transport == math.inf:
+            raise Overflow(f"sigma_tr of {model!r} exceeds double range")
+    return transport
 
 
 def _ratio_from_u(u: float) -> float:

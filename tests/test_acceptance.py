@@ -14,13 +14,9 @@ import sys
 import numpy as np
 import pytest
 
+from bound_routes import bound_energy_bisection, energy_equation_residual
 from ptdrsc.angular import polar_solution
-from ptdrsc.bound import (
-    bound_energy,
-    bound_energy_bisection,
-    energy_equation_residual,
-    nonrel_energy,
-)
+from ptdrsc.bound import bound_energy, nonrel_energy
 from ptdrsc.radial import (
     coulomb_cross_section,
     make_context,

@@ -1,5 +1,6 @@
 """Bound levels: closed form vs. bisection, residual zeroing, anchors,
-and the nonrelativistic limit."""
+and the nonrelativistic limit.  The residual and the bisection are the
+tests' own second route (tests/bound_routes.py)."""
 
 import math
 
@@ -7,13 +8,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ptdrsc.bound import (
-    bound_energy,
-    bound_energy_bisection,
-    bound_level,
-    energy_equation_residual,
-    nonrel_energy,
-)
+from bound_routes import bound_energy_bisection, energy_equation_residual
+from ptdrsc.bound import bound_energy, bound_level, nonrel_energy
 from ptdrsc.errors import DomainError, NoRoot
 
 
@@ -81,9 +77,10 @@ def test_closed_form_past_the_overflow_of_4_delta_squared(M):
 
 
 @pytest.mark.parametrize("M,d,n,ell", [(1.7e308, 0.5, 2, 2), (1.0, 1e154, 2, 2),
-                                       (1e300, 3.0, 0, 0), (2.0, 5e153, 0, 1)])
+                                       (1e300, 3.0, 0, 0), (2.0, 5e153, 0, 1),
+                                       (1e-300, 1e160, 0, 0)])
 def test_nonrel_energy_near_the_top_of_double_range(M, d, n, ell):
-    # 8Mδ² overflows before the division by Λ²; the level itself does not
+    # 8Mδ² (or, at a small M, 8δ²/Λ²) overflows; the level itself does not
     lam = 2 * n + 1 + 2 * ell
     with mpmath.workdps(40):
         want = float(-8 * mpmath.mpf(M) * mpmath.mpf(d) ** 2 / lam**2)

@@ -144,10 +144,17 @@ def test_domain_errors_exit_2():
 
 
 def test_numerical_errors_exit_3():
-    # partition function overflows double range at this xi
-    r = run_cli("thermo", "--beta", "1", "--xi", "50")
-    assert r.returncode == 3
-    assert r.stdout == b""
+    for argv in (
+        # partition function overflows double range at this xi
+        ("thermo", "--beta", "1", "--xi", "50"),
+        # the nonrelativistic level -8*delta^2 overflows
+        ("bound-states", "--delta", "1e308"),
+        # both screened closed forms overflow
+        ("screened-fit", "--phi", "1e308", "--gamma-screen", "1e-300"),
+    ):
+        r = run_cli(*argv)
+        assert r.returncode == 3, (argv, r.stderr.decode())
+        assert r.stdout == b"", argv
 
 
 def test_config_file_supplies_defaults(tmp_path):

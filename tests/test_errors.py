@@ -5,12 +5,15 @@ is fed the bad values of that parameter's rule and must raise
 DomainError: never a bare OverflowError or ValueError from int(), and
 never a silent NaN or a wrong number.  Valid but extreme inputs whose
 result cannot be computed in double precision raise NumericalError.
+The tests' own bound-level routes (bound_routes) keep the same input
+rules and are checked here alongside the library.
 """
 
 import math
 
 import pytest
 
+import bound_routes
 import ptdrsc
 from ptdrsc import angular, bound, radial, special, thermo, xsec
 from ptdrsc.errors import DomainError, NumericalError
@@ -65,17 +68,17 @@ CASES = [
     ("coulomb_cross_section.theta", "interval",
      lambda v=1.0: radial.coulomb_cross_section(1.0, 1.0, v)),
     ("energy_equation_residual.E", "interval",
-     lambda v=0.0: bound.energy_equation_residual(v, 1.0, 0.5, 0, 0)),
+     lambda v=0.0: bound_routes.energy_equation_residual(v, 1.0, 0.5, 0, 0)),
     ("energy_equation_residual.M", "positive",
-     lambda v=1.0: bound.energy_equation_residual(0.0, v, 0.5, 0, 0)),
+     lambda v=1.0: bound_routes.energy_equation_residual(0.0, v, 0.5, 0, 0)),
     ("energy_equation_residual.delta", "positive",
-     lambda v=0.5: bound.energy_equation_residual(0.0, 1.0, v, 0, 0)),
+     lambda v=0.5: bound_routes.energy_equation_residual(0.0, 1.0, v, 0, 0)),
     ("energy_equation_residual.n_r", "index",
-     lambda v=1: bound.energy_equation_residual(0.0, 1.0, 0.5, v, 0)),
+     lambda v=1: bound_routes.energy_equation_residual(0.0, 1.0, 0.5, v, 0)),
     ("energy_equation_residual.ell", "index",
-     lambda v=1: bound.energy_equation_residual(0.0, 1.0, 0.5, 0, v)),
+     lambda v=1: bound_routes.energy_equation_residual(0.0, 1.0, 0.5, 0, v)),
     *((f"{fn.__name__}.{name}", rule, call)
-      for fn in (bound.bound_energy, bound.bound_energy_bisection,
+      for fn in (bound.bound_energy, bound_routes.bound_energy_bisection,
                  bound.nonrel_energy, bound.bound_level)
       for name, rule, call in (
           ("M", "positive", lambda v=1.0, fn=fn: fn(v, 0.5, 1, 0)),
@@ -199,6 +202,11 @@ EXTREME_CASES = [
     ("hyp1f1(0.5, 1, 720)", lambda: special.hyp1f1(0.5, 1.0, 720.0)),
     ("hyp1f1(0.5, 1, 800)", lambda: special.hyp1f1(0.5, 1.0, 800.0)),
     ("hyp1f1(2, 2, 800)", lambda: special.hyp1f1(2.0, 2.0, 800.0)),
+    ("nonrel_energy(1, 1e308, 0, 0)", lambda: bound.nonrel_energy(1.0, 1e308, 0, 0)),
+    ("screened_sigma_total(1e308, 1e-300)",
+     lambda: xsec.screened_sigma_total(xsec.ScreenedRutherford(1e308, 1e-300))),
+    ("screened_sigma_transport(1e308, 1e-300)",
+     lambda: xsec.screened_sigma_transport(xsec.ScreenedRutherford(1e308, 1e-300))),
 ]
 
 
@@ -215,10 +223,9 @@ def test_public_names():
         "ParameterPole", "PartialWave", "PoleError", "PtdrscError",
         "RealnessViolation", "RelativisticContext", "ScreenedRutherford",
         "ThermoState", "__version__", "azimuthal_m_squared",
-        "backward_probability", "bound_energy", "bound_energy_bisection",
-        "bound_level", "coulomb_cross_section", "dawson",
+        "backward_probability", "bound_energy", "bound_level", "coulomb_cross_section", "dawson",
         "degenerate_eigenfunction", "degenerate_eigenvalue",
-        "degenerate_solution", "energy_equation_residual", "entropy", "erfi",
+        "degenerate_solution", "entropy", "erfi",
         "fit_screened", "forward_probability", "free_energy", "hyp1f1",
         "hyp2f1_terminating", "log_gamma", "log_normalization_constant",
         "log_partition_function", "make_context", "map_azimuthal", "map_polar",

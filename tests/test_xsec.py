@@ -156,6 +156,20 @@ def test_screened_closed_forms_match_mpmath_quad():
                 assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
 
 
+@pytest.mark.parametrize("phi", [1e308, 1.7976931348623157e308])
+@pytest.mark.parametrize("gamma", [10.0, 1e3, 1e6])
+def test_screened_closed_forms_near_the_top_of_double_range(phi, gamma):
+    # 4*pi*Phi and 2*pi*Phi overflow; the cross sections themselves do not
+    m = ScreenedRutherford(phi=phi, gamma_screen=gamma)
+    with mpmath.workdps(40):
+        p, g = mpmath.mpf(phi), mpmath.mpf(gamma)
+        tot = 4 * mpmath.pi * p / (g * (g + 2))
+        tr = 2 * mpmath.pi * p * (mpmath.log((g + 2) / g) - 2 / (g + 2))
+        for got, want in ((screened_sigma_total(m), tot),
+                          (screened_sigma_transport(m), tr)):
+            assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
+
+
 def test_fit_round_trip():
     for gamma in np.geomspace(1e-3, 1e3, 9):
         for phi in (0.1, 1.0, 10.0):

@@ -17,14 +17,22 @@ The output holds every run's end-to-end metrics, its ``correct``,
 median and quartiles, the median and quartiles of the change/parent ratio
 within each pair, and the number of pairs the change wins (ties count for
 neither side).  The within-pair ratio cancels the host's drift between pairs,
-which moves both sides of a pair alike; the side medians do not.  The file is rewritten after every pair, so an interrupted
-session keeps the pairs it finished.
+which moves both sides of a pair alike; the side medians do not.
+
+Each pair also runs the tier-1 test suite (``TIER1``, with ``src`` on
+``PYTHONPATH``) once per side, after the workloads and in the same order.
+Its runs record the wall seconds and the passed and failed counts, and its
+summary the same medians, ratio and wins for the wall time.
+
+The file is rewritten after every pair, so an interrupted session keeps the
+pairs it finished.
 """
 
 import argparse
 import json
 import os
 import platform
+import re
 import shutil
 import statistics
 import subprocess
@@ -38,6 +46,7 @@ SIDES = ("parent", "change")
 HEAD = "HEAD"
 PAIRS = 10
 FIRST_SEED = 1
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 
 
 def git(*args):
@@ -68,6 +77,25 @@ def run_once(checkout, workload, seed, seconds):
         "attempted": summary["attempted"],
         "failed": summary["failed"],
         "metrics": {name: m["value"] for name, m in summary["metrics"].items()},
+    }
+
+
+def run_tier1(checkout):
+    """One run of the tier-1 suite: wall seconds and the outcome counts of
+    pytest's last line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in ("src", os.environ.get("PYTHONPATH")) if p)}
+    start = time.monotonic()
+    proc = subprocess.run([sys.executable, *TIER1], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    wall = time.monotonic() - start
+    last = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", last)}
+    return {
+        "returncode": proc.returncode,
+        "passed": counts.get("passed", 0),
+        "failed": counts.get("failed", 0) + counts.get("error", 0),
+        "metrics": {"wall_s": wall},
     }
 
 
@@ -120,6 +148,7 @@ def main(argv=None):
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "cpus": len(os.sched_getaffinity(0))},
             "workloads": {w: {"runs": [], "summary": {}} for w in workloads},
+            "tier1": {"command": ["python", *TIER1], "runs": [], "summary": {}},
         }
         for pair in range(PAIRS):
             seed = FIRST_SEED + pair
@@ -134,6 +163,15 @@ def main(argv=None):
                 entry = result["workloads"][workload]
                 entry["runs"].append(run)
                 entry["summary"] = summarize(entry["runs"], metrics)
+            run = {"pair": pair, "first": order[0]}
+            for side in order:
+                run[side] = run_tier1(checkouts[side])
+                print(f"pair {pair} tier-1 {side}: {run[side]['metrics']['wall_s']:.0f} s, "
+                      f"{run[side]['passed']} passed, {run[side]['failed']} failed",
+                      file=sys.stderr, flush=True)
+            entry = result["tier1"]
+            entry["runs"].append(run)
+            entry["summary"] = summarize(entry["runs"], {"wall_s": "lower"})
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
