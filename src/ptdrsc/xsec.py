@@ -220,7 +220,7 @@ def screened_sigma_transport(model: ScreenedRutherford) -> float:
     """
     f = _log_minus_fraction(2.0 / model.gamma_screen)
     transport = 2.0 * math.pi * model.phi * f
-    if not math.isfinite(transport):
+    if transport == math.inf:
         # 2*pi*Phi alone overflows where the transport may not
         transport = 2.0 * math.pi * (model.phi * f)
         if transport == math.inf:

@@ -223,7 +223,8 @@ def test_public_names():
         "ParameterPole", "PartialWave", "PoleError", "PtdrscError",
         "RealnessViolation", "RelativisticContext", "ScreenedRutherford",
         "ThermoState", "__version__", "azimuthal_m_squared",
-        "backward_probability", "bound_energy", "bound_level", "coulomb_cross_section", "dawson",
+        "backward_probability", "bound_energy", "bound_level",
+        "coulomb_cross_section", "dawson",
         "degenerate_eigenfunction", "degenerate_eigenvalue",
         "degenerate_solution", "entropy", "erfi",
         "fit_screened", "forward_probability", "free_energy", "hyp1f1",
