@@ -20,7 +20,7 @@ form (DLMF 18.3) and nothing here integrates.
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import (ComplexBranch, DomainError, Overflow, check_finite, check_index,
                      check_positive)
@@ -31,10 +31,8 @@ __all__ = [
     "pt_parameter_from_strength",
     "polar_eigenvalue",
     "polar_solution",
-    "polar_eigenfunction",
     "degenerate_eigenvalue",
     "degenerate_solution",
-    "degenerate_eigenfunction",
     "map_polar",
     "map_azimuthal",
     "azimuthal_m_squared",
@@ -164,12 +162,6 @@ def polar_solution(chi: float, lam: float, n_r: int,
     return _normalized(chi, lam, n_r, zeta, polar_eigenvalue(chi, lam, n_r, zeta))
 
 
-def polar_eigenfunction(q: float, chi: float, lam: float, n_r: int,
-                        zeta: float = 1.0) -> float:
-    """Value at q of the normalized (chi, lam) eigenfunction."""
-    return polar_solution(chi, lam, n_r, zeta).evaluator(q)
-
-
 def degenerate_eigenvalue(lam: float, n_r: int, zeta: float = 1.0) -> float:
     """Level 2 zeta^2 (lam/2 + n_r)^2 - zeta^2/2 of the chi = 0 family.
 
@@ -196,11 +188,6 @@ def degenerate_solution(lam: float, n_r: int, zeta: float = 1.0) -> AngularSolut
     """
     eigenvalue = degenerate_eigenvalue(lam, n_r, zeta)  # validates
     return _normalized(0.0, float(lam), int(n_r), float(zeta), eigenvalue)
-
-
-def degenerate_eigenfunction(q: float, lam: float, n_r: int,
-                             zeta: float = 1.0) -> float:
-    return degenerate_solution(lam, n_r, zeta).evaluator(q)
 
 
 def map_polar(A: float, B: float, m: float, E_plus_M: float) -> tuple:

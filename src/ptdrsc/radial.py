@@ -28,13 +28,11 @@ from .special import hyp1f1, log_gamma
 
 __all__ = [
     "RelativisticContext",
-    "PartialWave",
     "make_context",
     "phase_shift",
     "short_range_phase_shift",
     "normalization_constant",
     "log_normalization_constant",
-    "partial_wave",
     "radial_wavefunction",
     "radial_wavefunction_with_derivative",
     "scattering_amplitude",
@@ -73,16 +71,6 @@ class RelativisticContext:
     coupling_delta: float
     wave_number: float
     sommerfeld: float
-
-
-@dataclass(frozen=True)
-class PartialWave:
-    """One angular channel: phase shifts and normalization constant."""
-
-    ell: int
-    phase_shift: float
-    short_range_shift: float
-    norm_constant: float
 
 
 def make_context(M: float, E: float, coupling_delta: float) -> RelativisticContext:
@@ -157,18 +145,6 @@ def normalization_constant(ctx: RelativisticContext, ell: int) -> float:
             "use log_normalization_constant instead"
         )
     return math.exp(ln_a)
-
-
-def partial_wave(ctx: RelativisticContext, ell: int, ell_prime: int | None = None) -> PartialWave:
-    """Assemble the PartialWave record for one channel (ℓ′ defaults to ℓ)."""
-    ell = check_index(ell, "ell")
-    lp = ell if ell_prime is None else check_index(ell_prime, "ell_prime")
-    return PartialWave(
-        ell=ell,
-        phase_shift=phase_shift(ctx, ell),
-        short_range_shift=short_range_phase_shift(ctx, ell, lp),
-        norm_constant=normalization_constant(ctx, ell),
-    )
 
 
 def _regular_wave(ctx: RelativisticContext, ell: int, r: float, derivative: bool):

@@ -12,7 +12,9 @@ hyp1f1
     switch radius the large-|z| expansion is used whenever its internal
     error estimate passes, with a high-precision series rescue otherwise.
 hyp2f1_terminating
-    scipy's ``hyp2f1`` at a = −n; on the angular levels
+    scipy's ``hyp2f1`` at a = −n, for c ≥ ½ only (DomainError below:
+    there scipy loses up to 1e-7 relative, and the angular levels, its
+    one use, have c = χ + ½ ≥ ½); on the angular levels
     (sin q)^χ (cos q)^λ ₂F₁(−n, χ+λ+n; χ+½; sin²q) the error is
     ≤ 1e-12 of the level's peak for n ≤ 30.
 dawson / erfi
@@ -69,8 +71,6 @@ _MAX_TERMS = 100_000      # hard series cap
 _SERIES_RTOL = 1e-13      # internal series accuracy target
 _ASYM_ACCEPT = 1e-12      # accept asymptotic when claimed error is below this
 _RESCUE_RADIUS = 700.0    # run the high-precision series rescue up to here
-_F64_DIRECT_LIMIT = 600.0 # skip the double series beyond this (at |z| = 600
-                          # an imaginary-z series peaks near 1e260)
 
 
 def _require_finite_complex(z: complex, name: str) -> complex:
@@ -191,15 +191,15 @@ def _series_mp(a: complex, b: complex, z: complex, dps: int) -> complex:
 
 def _series(a: complex, b: complex, z: complex) -> complex:
     """Kummer series in double precision, or in mpmath when the terms
-    overflow, cancellation eats the double budget, or |z| > _F64_DIRECT_LIMIT.
+    overflow or cancellation eats the double budget.
     """
-    dps = int(0.4343 * abs(z)) + 35
-    if abs(z) <= _F64_DIRECT_LIMIT:
-        val, peak = _series_f64(a, b, z)
-        if not math.isinf(peak):
-            if peak * 2.2e-16 / max(abs(val), 1e-300) <= _SERIES_RTOL:
-                return val
-            dps = int(math.log10(peak)) + 30  # peak ≥ 1, the first term
+    val, peak = _series_f64(a, b, z)
+    if math.isinf(peak):
+        dps = int(0.4343 * abs(z)) + 35
+    elif peak * 2.2e-16 / max(abs(val), 1e-300) <= _SERIES_RTOL:
+        return val
+    else:
+        dps = int(math.log10(peak)) + 30  # peak ≥ 1, the first term
     val = _series_mp(a, b, z, dps)
     if not cmath.isfinite(val):
         raise Overflow(f"1F1({a!r}; {b!r}; {z!r}) exceeds double range")
@@ -344,8 +344,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
     n : int
         Non-negative polynomial degree.
     b, c : float
-        Remaining parameters; for n > 0, c must not be a non-positive
-        integer.
+        Remaining parameters, finite, with c ≥ ½.
     x : float
         Argument in [0, 1].
 
@@ -358,16 +357,18 @@ def hyp2f1_terminating(n: int, b: float, c: float, x: float) -> float:
 
     Raises
     ------
+    DomainError
+        If c < ½, outside the stated contract.
     NoConvergence
         If scipy returns inf or NaN, as it does at very large n.
     """
     n = check_index(n, "n")
     b = check_finite(b, "b")
     c = check_finite(c, "c")
+    if c < 0.5:
+        raise DomainError(f"hyp2f1_terminating needs c >= 1/2, got {c!r}")
     if not 0.0 <= x <= 1.0:
         raise DomainError(f"x must lie in [0, 1], got {x!r}")
-    if n > 0 and _is_nonpositive_int(c):
-        raise ParameterPole(f"hyp2f1_terminating: c = {c!r} is a non-positive integer")
     val = cython_special.hyp2f1(-n, b, c, float(x))  # its dispatch takes no int x
     if not math.isfinite(val):
         raise NoConvergence(f"hyp2f1_terminating({n!r}, {b!r}, {c!r}, {x!r}) came out {val!r}")

@@ -116,19 +116,12 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
     return total
 
 
-def _phi(x: float) -> float:
-    """φ(x) = x / D(x); even, φ(0) = 1, φ ~ 2x² for large |x|."""
-    if x == 0.0:
-        return 1.0
-    return x / dawson(x)
-
-
 def _one_minus_phi(x: float) -> float:
-    # 1 - φ has total cancellation at x = 0; series keeps relative accuracy
+    # 1 - φ(x), φ = x/D(x), cancels totally at x = 0; the series keeps relative accuracy
     if abs(x) < _SERIES_X:
         x2 = x * x
         return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
-    return 1.0 - _phi(x)
+    return 1.0 - x / dawson(x)
 
 
 def mean_energy(state: ThermoState) -> float:

@@ -12,12 +12,10 @@ import scipy.integrate
 
 from ptdrsc.angular import (
     azimuthal_m_squared,
-    degenerate_eigenfunction,
     degenerate_eigenvalue,
     degenerate_solution,
     map_azimuthal,
     map_polar,
-    polar_eigenfunction,
     polar_eigenvalue,
     polar_solution,
     pt_parameter_from_strength,
@@ -117,7 +115,7 @@ def test_polar_eigenfunction_boundary_zeros():
 
 def test_polar_eigenfunction_normalized_value_oracle():
     # chi=2, lam=3, n_r=1 at q=0.7; mpmath quadrature norm, 50 dps
-    got = polar_eigenfunction(0.7, 2.0, 3.0, 1)
+    got = polar_solution(2.0, 3.0, 1).evaluator(0.7)
     assert got == pytest.approx(0.012120570665743484679, rel=1e-9)
 
 
@@ -212,8 +210,10 @@ def test_degenerate_eigenfunction_satisfies_ode():
 
 
 def test_degenerate_matches_convenience_wrapper():
-    assert degenerate_eigenfunction(0.4, 2.5, 1) == pytest.approx(
-        degenerate_solution(2.5, 1).evaluator(0.4), rel=1e-14)
+    # one value of a chi = 0 level, against the mpmath Jacobi route
+    with mpmath.workdps(30):
+        want = float(_mp_polar_level(0.4, 0.0, 2.5, 1))
+    assert degenerate_solution(2.5, 1).evaluator(0.4) == pytest.approx(want, rel=1e-14)
 
 
 def test_domain_validation():

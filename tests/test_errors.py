@@ -47,8 +47,6 @@ CASES = [
     ("log_normalization_constant.ell", "index",
      lambda v=1: radial.log_normalization_constant(CTX, v)),
     ("normalization_constant.ell", "index", lambda v=1: radial.normalization_constant(CTX, v)),
-    ("partial_wave.ell", "index", lambda v=1: radial.partial_wave(CTX, v)),
-    ("partial_wave.ell_prime", "index", lambda v=1: radial.partial_wave(CTX, 1, v)),
     ("radial_wavefunction.ell", "index", lambda v=1: radial.radial_wavefunction(CTX, v, 1.0)),
     ("radial_wavefunction.r", "positive", lambda v=1.0: radial.radial_wavefunction(CTX, 1, v)),
     ("radial_wavefunction_with_derivative.ell", "index",
@@ -96,10 +94,11 @@ CASES = [
           ("n_r", "index", lambda v=1, fn=fn: fn(2.0, 3.0, v)),
           ("zeta", "positive", lambda v=1.0, fn=fn: fn(2.0, 3.0, 1, v)),
       )),
+    # an eigenfunction value is the solution's evaluator at q
     ("polar_eigenfunction.q", "interval",
-     lambda v=0.5: angular.polar_eigenfunction(v, 2.0, 3.0, 1)),
+     lambda v=0.5: angular.polar_solution(2.0, 3.0, 1).evaluator(v)),
     ("polar_eigenfunction.n_r", "index",
-     lambda v=1: angular.polar_eigenfunction(0.5, 2.0, 3.0, v)),
+     lambda v=1: angular.polar_solution(2.0, 3.0, v).evaluator(0.5)),
     *((f"{fn.__name__}.{name}", rule, call)
       for fn in (angular.degenerate_eigenvalue, angular.degenerate_solution)
       for name, rule, call in (
@@ -108,7 +107,7 @@ CASES = [
           ("zeta", "positive", lambda v=1.0, fn=fn: fn(3.0, 1, v)),
       )),
     ("degenerate_eigenfunction.q", "interval",
-     lambda v=0.5: angular.degenerate_eigenfunction(v, 3.0, 1)),
+     lambda v=0.5: angular.degenerate_solution(3.0, 1).evaluator(v)),
     ("map_polar.A", "finite", lambda v=2.0: angular.map_polar(v, 1.0, 1.0, 2.0)),
     ("map_polar.B", "finite", lambda v=1.0: angular.map_polar(2.0, v, 1.0, 2.0)),
     ("map_polar.m", "finite", lambda v=1.0: angular.map_polar(2.0, 1.0, v, 2.0)),
@@ -220,20 +219,18 @@ def test_public_names():
     assert set(ptdrsc.__all__) == {
         "AngularSolution", "BoundLevel", "ComplexBranch", "DomainError",
         "NoConvergence", "NoRoot", "NonIntegrable", "NumericalError", "Overflow",
-        "ParameterPole", "PartialWave", "PoleError", "PtdrscError",
+        "ParameterPole", "PoleError", "PtdrscError",
         "RealnessViolation", "RelativisticContext", "ScreenedRutherford",
         "ThermoState", "__version__", "azimuthal_m_squared",
         "backward_probability", "bound_energy", "bound_level",
-        "coulomb_cross_section", "dawson",
-        "degenerate_eigenfunction", "degenerate_eigenvalue",
+        "coulomb_cross_section", "dawson", "degenerate_eigenvalue",
         "degenerate_solution", "entropy", "erfi",
         "fit_screened", "forward_probability", "free_energy", "hyp1f1",
         "hyp2f1_terminating", "log_gamma", "log_normalization_constant",
         "log_partition_function", "make_context", "map_azimuthal", "map_polar",
         "mean_energy", "mean_wide_angle_collisions", "nonrel_energy",
-        "normalization_constant", "partial_wave", "partition_function",
-        "partition_sum", "phase_shift", "polar_eigenfunction",
-        "polar_eigenvalue", "polar_solution", "pt_parameter_from_strength",
+        "normalization_constant", "partition_function", "partition_sum",
+        "phase_shift", "polar_eigenvalue", "polar_solution", "pt_parameter_from_strength",
         "radial_wavefunction", "radial_wavefunction_with_derivative",
         "scatter_probability", "scattering_amplitude", "screened_rutherford_dcs",
         "screened_sigma_total", "screened_sigma_transport",

@@ -19,7 +19,6 @@ from ptdrsc.radial import (
     log_normalization_constant,
     make_context,
     normalization_constant,
-    partial_wave,
     phase_shift,
     radial_wavefunction,
     radial_wavefunction_with_derivative,
@@ -140,15 +139,6 @@ def test_normalization_survives_huge_sommerfeld_parameter():
         want = (2.0 ** (ell + 0.5) * math.sqrt(2.0 * math.pi) * eta ** ell
                 / math.gamma(2 * ell + 1))
         assert abs(a - want) < 1e-2 * want
-
-
-def test_partial_wave_bundle():
-    ctx = make_context(1.0, 1.5, 1.0)
-    pw = partial_wave(ctx, 2)
-    assert pw.ell == 2
-    assert pw.phase_shift == phase_shift(ctx, 2)
-    assert pw.short_range_shift == short_range_phase_shift(ctx, 2, 2)
-    assert pw.norm_constant == pytest.approx(normalization_constant(ctx, 2))
 
 
 # mpmath oracle: M=1, E=1.5, delta=1 (k = sqrt(5)/2, eta = sqrt(5))

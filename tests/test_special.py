@@ -353,7 +353,9 @@ def test_hyp2f1_terminating_exact_zero():
 
 
 def test_hyp2f1_terminating_n_zero_is_one():
-    assert hyp2f1_terminating(0, 3.0, -1.0, 0.5) == 1.0
+    assert hyp2f1_terminating(0, 3.0, 1.5, 0.5) == 1.0
+    with pytest.raises(DomainError):  # c < 1/2 is outside the contract
+        hyp2f1_terminating(0, 3.0, -1.0, 0.5)
 
 
 @pytest.mark.parametrize("chi,lam", [(2.0, 3.0), (1.5, 2.5), (0.0, 3.0)])
@@ -376,7 +378,8 @@ def test_hyp2f1_terminating_angular_levels_match_mpmath(chi, lam):
 
 
 def test_hyp2f1_terminating_parameter_pole():
-    with pytest.raises(ParameterPole):
+    # the poles c = 0, -1, -2, ... lie below the contract's c >= 1/2
+    with pytest.raises(DomainError):
         hyp2f1_terminating(3, 2.0, -1.0, 0.5)
 
 
