@@ -34,6 +34,7 @@ screened_transport_ratio)
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -184,14 +185,14 @@ def screened_rutherford_dcs(model: ScreenedRutherford,
 
 def screened_sigma_total(model: ScreenedRutherford) -> float:
     """Closed form 4*pi*Phi / (Gamma*(Gamma + 2)); raises Overflow where
-    it leaves double range."""
+    it leaves double range, overflowing or underflowing to 0."""
     g = model.gamma_screen
     total = 4.0 * math.pi * model.phi / (g * (g + 2.0))
-    if not math.isfinite(total):
-        # 4*pi*Phi or Gamma*(Gamma + 2) alone overflows where the total may not
+    if not 0.0 < total < math.inf:
+        # 4*pi*Phi or Gamma*(Gamma + 2) alone leaves range where the total may not
         total = 4.0 * math.pi * (model.phi / g / (g + 2.0))
-        if total == math.inf:
-            raise Overflow(f"sigma_tot of {model!r} exceeds double range")
+        if not 0.0 < total < math.inf:
+            raise Overflow(f"sigma_tot of {model!r} leaves double range")
     return total
 
 
@@ -211,32 +212,55 @@ def _log_minus_fraction(u: float) -> float:
     return math.log1p(u) - u / (1.0 + u)
 
 
+def _screened_f(g: float) -> float:
+    """ln(1+u) - u/(1+u) at u = 2/Gamma; where u overflows, ln(1+u) is
+    taken as ln(2+Gamma) - ln(Gamma)."""
+    u = 2.0 / g
+    if u == math.inf:
+        return math.log(2.0 + g) - math.log(g) - 2.0 / (2.0 + g)
+    return _log_minus_fraction(u)
+
+
 def screened_sigma_transport(model: ScreenedRutherford) -> float:
     """Closed form 2*pi*Phi*[ln((Gamma+2)/Gamma) - 2/(Gamma+2)].
 
     Evaluated through the cancellation-free difference, so it stays
     accurate for arbitrarily strong screening (large Gamma).  Raises
-    Overflow where it leaves double range.
+    Overflow where it leaves double range, overflowing or underflowing
+    to 0.
     """
-    f = _log_minus_fraction(2.0 / model.gamma_screen)
-    transport = 2.0 * math.pi * model.phi * f
-    if transport == math.inf:
-        # 2*pi*Phi alone overflows where the transport may not
-        transport = 2.0 * math.pi * (model.phi * f)
+    f = _screened_f(model.gamma_screen)
+    if f < sys.float_info.min:
+        # f = u^2/2 to double precision, but it is subnormal or 0
+        u = 2.0 / model.gamma_screen
+        transport = math.pi * (model.phi * u) * u
+    else:
+        transport = 2.0 * math.pi * model.phi * f
         if transport == math.inf:
-            raise Overflow(f"sigma_tr of {model!r} exceeds double range")
+            # 2*pi*Phi alone overflows where the transport may not
+            transport = 2.0 * math.pi * (model.phi * f)
+    if not 0.0 < transport < math.inf:
+        raise Overflow(f"sigma_tr of {model!r} leaves double range")
     return transport
 
 
 def _ratio_from_u(u: float) -> float:
     """Transport ratio 2(1+u)[ln(1+u) - u/(1+u)]/u^2 at u = 2/Gamma."""
-    return 2.0 * (1.0 + u) * _log_minus_fraction(u) / (u * u)
+    f = _log_minus_fraction(u)
+    if f < sys.float_info.min:
+        return 1.0  # f = u^2/2 is subnormal or 0; the ratio 1 - u/3 rounds to 1
+    return 2.0 * (1.0 + u) * f / (u * u)
 
 
 def screened_transport_ratio(model: ScreenedRutherford) -> float:
     """sigma_tr/sigma_tot for the model; strictly increasing in Gamma,
     with limits 0 as Gamma -> 0 and 1 as Gamma -> infinity."""
-    return _ratio_from_u(2.0 / model.gamma_screen)
+    g = model.gamma_screen
+    u = 2.0 / g
+    if u * u == math.inf:
+        # 2(1+u)/u^2 = Gamma(Gamma+2)/2 where u or u^2 overflows
+        return g * (0.5 * (g + 2.0) * _screened_f(g))
+    return _ratio_from_u(u)
 
 
 def fit_screened(sigma_tot: float, sigma_tr: float) -> ScreenedRutherford:

@@ -1,13 +1,23 @@
 """End-to-end CLI checks: golden-file byte determinism for every
 subcommand, exit-code contracts, config-file precedence, and format
-agreement between the CSV and JSON renderers."""
+agreement between the CSV and JSON renderers.
 
+Most commands run through ``cli.main`` in this interpreter.  A child
+``python -m ptdrsc`` runs where the process itself is under test: the
+modules a cold start loads, byte-identity across interpreters, and one
+case for each exit code 0 to 3.
+"""
+
+import contextlib
+import io
 import json
 import pathlib
 import subprocess
 import sys
 
 import pytest
+
+from ptdrsc import cli
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -31,9 +41,19 @@ GOLDEN_CASES = {
 }
 
 
-def run_cli(*argv, check=False):
-    result = subprocess.run([sys.executable, "-m", "ptdrsc", *argv],
-                            capture_output=True)
+def run_cli(*argv, check=False, child=False):
+    """Run ``ptdrsc argv``, through cli.main or, if ``child``, as
+    ``python -m ptdrsc``; stdout and stderr are the bytes the process writes."""
+    if child:
+        result = subprocess.run([sys.executable, "-m", "ptdrsc", *argv],
+                                capture_output=True)
+    else:
+        out, err = (io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="",
+                                     write_through=True) for _ in range(2))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+        result = subprocess.CompletedProcess(argv, code, out.buffer.getvalue(),
+                                             err.buffer.getvalue())
     if check:
         assert result.returncode == 0, result.stderr.decode()
     return result
@@ -76,8 +96,8 @@ def test_golden_outputs_are_reproduced_byte_for_byte(name):
 
 def test_repeated_runs_are_deterministic():
     argv = GOLDEN_CASES["thermo.csv"]
-    first = run_cli(*argv, check=True).stdout
-    second = run_cli(*argv, check=True).stdout
+    first = run_cli(*argv, check=True, child=True).stdout
+    second = run_cli(*argv, check=True, child=True).stdout
     assert first == second
 
 
@@ -119,7 +139,7 @@ def test_twelve_significant_digits():
 
 
 def test_usage_errors_exit_1():
-    r = run_cli("phase-shifts", "--mass", "1", "--delta", "1")
+    r = run_cli("phase-shifts", "--mass", "1", "--delta", "1", child=True)
     assert r.returncode == 1
     assert b"energy" in r.stderr
     assert r.stdout == b""
@@ -132,7 +152,8 @@ def test_usage_errors_exit_1():
 
 
 def test_domain_errors_exit_2():
-    r = run_cli("phase-shifts", "--mass", "1", "--energy", "0.5", "--delta", "1")
+    r = run_cli("phase-shifts", "--mass", "1", "--energy", "0.5", "--delta", "1",
+                child=True)
     assert r.returncode == 2
     assert r.stdout == b""
     assert r.stderr.count(b"\n") == 1
@@ -144,15 +165,17 @@ def test_domain_errors_exit_2():
 
 
 def test_numerical_errors_exit_3():
-    for argv in (
+    for i, argv in enumerate((
         # partition function overflows double range at this xi
         ("thermo", "--beta", "1", "--xi", "50"),
         # the nonrelativistic level -8*delta^2 overflows
         ("bound-states", "--delta", "1e308"),
         # both screened closed forms overflow
         ("screened-fit", "--phi", "1e308", "--gamma-screen", "1e-300"),
-    ):
-        r = run_cli(*argv)
+        # the closed total underflows to 0
+        ("screened-fit", "--phi", "1", "--gamma-screen", "1e308"),
+    )):
+        r = run_cli(*argv, child=i == 0)
         assert r.returncode == 3, (argv, r.stderr.decode())
         assert r.stdout == b"", argv
 

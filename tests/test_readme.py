@@ -4,10 +4,10 @@
 import pathlib
 import re
 import shlex
-import subprocess
-import sys
 
 import pytest
+
+from ptdrsc import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -34,7 +34,8 @@ def test_readme_has_cli_examples():
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=[" ".join(a[:2]) for a in COMMANDS])
-def test_readme_cli_example_runs(argv):
-    result = subprocess.run([sys.executable, "-m", "ptdrsc", *argv[1:]], capture_output=True)
-    assert result.returncode == 0, result.stderr.decode()
-    assert result.stdout
+def test_readme_cli_example_runs(argv, capsysbinary):
+    code = cli.main(argv[1:])
+    out, err = capsysbinary.readouterr()
+    assert code == 0, err.decode()
+    assert out

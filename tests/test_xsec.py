@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from ptdrsc.errors import DomainError, NonIntegrable, NoRoot
+from ptdrsc.errors import DomainError, NonIntegrable, NoRoot, Overflow
 from ptdrsc.xsec import _FIT_LOG_HI, _FIT_LOG_LO, _ratio_from_u
 from ptdrsc.xsec import (
     ScreenedRutherford,
@@ -168,6 +168,32 @@ def test_screened_closed_forms_near_the_top_of_double_range(phi, gamma):
         for got, want in ((screened_sigma_total(m), tot),
                           (screened_sigma_transport(m), tr)):
             assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
+
+
+@pytest.mark.parametrize("phi,gamma", [
+    (1.0, 1e-308),    # u = 2/Gamma overflows
+    (1.0, 1e-306),    # 2(1+u)f and u^2 overflow
+    (1.0, 1e-200),    # u^2 overflows
+    (1e300, 5e161),   # f = u^2/2 is subnormal
+    (1e308, 1e170),   # 2*pi*Phi overflows and f underflows to 0
+    (1.0, 1e308),     # u^2 underflows to 0
+])
+def test_screened_closed_forms_at_the_ends_of_double_range(phi, gamma):
+    # each value that double range holds is returned; the others raise Overflow
+    m = ScreenedRutherford(phi=phi, gamma_screen=gamma)
+    # 40 digits survive the cancellation in ln((G+2)/G) - 2/(G+2) at large G
+    with mpmath.workdps(40 + int(2 * abs(math.log10(gamma)))):
+        p, g = mpmath.mpf(phi), mpmath.mpf(gamma)
+        tot = 4 * mpmath.pi * p / (g * (g + 2))
+        tr = 2 * mpmath.pi * p * (mpmath.log((g + 2) / g) - 2 / (g + 2))
+        for fn, want in ((screened_sigma_total, tot), (screened_sigma_transport, tr),
+                         (screened_transport_ratio, tr / tot)):
+            if not 2.2250738585072014e-308 <= want <= 1.7976931348623157e308:
+                with pytest.raises(Overflow):
+                    fn(m)
+            else:
+                got = fn(m)
+                assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (fn.__name__, got)
 
 
 def test_fit_round_trip():
