@@ -14,6 +14,12 @@ Accuracy contract
 phase_shift
     error ≤ 2e-12 rad, taken after wrapping into (−π, π], for ℓ ≤ 3000
     and 0.01 ≤ η ≤ 200.
+radial_wavefunction, radial_wavefunction_with_derivative
+    g_{kℓ}(r) = 2·F_{ℓ−1/2}(−η, kr), the regular Coulomb wave of DLMF §33,
+    within 1e-11·max(1, |g|), and dg/dr within 1e-11·max(k, |dg/dr|), for
+    0.1 ≤ η ≤ 6 with ℓ ≤ 30 and 0.05 ≤ kr ≤ 100, or with ℓ ≤ 5 and
+    100 ≤ kr ≤ 1200.  The envelope of g is 2, so near its nodes the
+    bound is absolute.
 """
 
 import cmath

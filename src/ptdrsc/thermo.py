@@ -11,6 +11,26 @@ through the ratio φ(x) = x/D(x) with D the Dawson integral, which keeps
 the formulas in ratio form and free of the e^{x²} growth of Erfi; the
 log-partition function itself is offered separately for the regime
 where Z overflows a double.
+
+Accuracy contract
+-----------------
+Against the closed forms evaluated with mpmath's ``erfi`` at 40 digits,
+D(x) = (√π/2)·e^{−x²}·Erfi(x), for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 10 and
+1e-6 ≤ |x| ≤ 1e4, with x > 0 where ln Z enters:
+
+partition_function
+    ≤ 1e-12 relative; Overflow where Erfi(x) or Z leaves double range.
+log_partition_function, free_energy, entropy
+    ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S.  S = k(ln Z + βU)
+    is a difference of two terms of size ~x², so its error relative to S
+    itself grows as x².
+mean_energy
+    ≤ 1e-9 relative; the worst is just above the series switch
+    |x| = 0.01, where 1 − x/D(x) cancels.
+specific_heat
+    ≤ 2e-5 relative for |x| ≤ 30 only.  (1 − φ)/2 and xφ′/4 cancel just
+    above the series switch, and again at large |x|, where the error grows
+    as x² (up to 2.3e-4 for 100 ≤ |x| < 1000).
 """
 
 import math
@@ -64,18 +84,20 @@ class ThermoState:
 def partition_function(state: ThermoState) -> float:
     """Continuum partition function Z = τ√π·Erfi(x)/(2√β).
 
-    Raises Overflow (from erfi) once x exceeds ~26.7; use
-    log_partition_function in that regime.
+    Raises Overflow where Erfi(x) (from |x| ≈ 26.64) or Z leaves double
+    range; use log_partition_function in that regime.
     """
     x = state.x
     try:
-        e = erfi(x)
-    except Overflow as exc:
+        z = state.tau * _SQRT_PI * erfi(x) / (2.0 * math.sqrt(state.beta))
+    except Overflow:
+        z = math.inf
+    if math.isinf(z):
         raise Overflow(
             f"partition function overflows double range at x = {x!r}; "
             "use log_partition_function"
-        ) from exc
-    return state.tau * _SQRT_PI * e / (2.0 * math.sqrt(state.beta))
+        )
+    return z
 
 
 def log_partition_function(state: ThermoState) -> float:

@@ -89,6 +89,49 @@ def test_phase_shift_contract_against_mpmath():
             assert err <= 2e-12, (ell, ctx.sommerfeld, err)
 
 
+def _mp_coulomb_wave(ell, eta, k, kr):
+    """g = 2·F_{l-1/2}(-eta, kr) and dg/dr from mpmath at 30 digits; F' by
+    the recurrence F'_L = (L'/rho + eta/L') F_L - sqrt(1 + eta^2/L'^2) F_{L+1},
+    L' = L + 1 (DLMF 33.4.4)."""
+    with mpmath.workdps(30):
+        L, eta, rho = mpmath.mpf(ell) - 0.5, -mpmath.mpf(eta), mpmath.mpf(kr)
+        Lp = L + 1
+        F = mpmath.coulombf(L, eta, rho)
+        dF = ((Lp / rho + eta / Lp) * F
+              - mpmath.sqrt(1 + eta ** 2 / Lp ** 2) * mpmath.coulombf(Lp, eta, rho))
+        return float(2 * F), float(2 * k * dF)
+
+
+@pytest.mark.parametrize("seed,points,ell_max,kr_range", [
+    (20261101, 96, 30, (0.05, 100.0)),
+    (20261102, 24, 5, (100.0, 1200.0)),
+], ids=["ell<=30,kr<=100", "ell<=5,kr<=1200"])
+def test_radial_wave_contract_against_mpmath(seed, points, ell_max, kr_range):
+    # the radial docstring's contract: g within 1e-11·max(1, |g|) and
+    # dg/dr within 1e-11·max(k, |dg/dr|) of 2·mpmath.coulombf(l - 1/2, -eta, kr),
+    # for 0.1 <= eta <= 6 on both kr ranges; points alternate between the
+    # two entry points
+    rng = np.random.default_rng(seed)
+    lo, hi = (math.log10(v) for v in kr_range)
+    for i in range(points):
+        eta = 10 ** rng.uniform(-1.0, math.log10(6.0))
+        ell = int(rng.integers(0, ell_max + 1))
+        kr = 10 ** rng.uniform(lo, hi)
+        k = 10 ** rng.uniform(-1.0, 1.0)
+        E = math.sqrt(1.0 + k * k)
+        ctx = make_context(1.0, E, eta * k / (1.0 + E))
+        r = kr / ctx.wave_number
+        want_g, want_dg = _mp_coulomb_wave(ell, ctx.sommerfeld, ctx.wave_number,
+                                           ctx.wave_number * r)
+        if i % 2:
+            g, dg = radial_wavefunction_with_derivative(ctx, ell, r)
+            assert abs(dg - want_dg) <= 1e-11 * max(ctx.wave_number, abs(want_dg)), (
+                ell, ctx.sommerfeld, kr, dg, want_dg)
+        else:
+            g = radial_wavefunction(ctx, ell, r)
+        assert abs(g - want_g) <= 1e-11 * max(1.0, abs(want_g)), (ell, ctx.sommerfeld, kr, g)
+
+
 def test_phase_shift_gamma_ratio_identity():
     # e^{2i delta_l} = Gamma(l + 1/2 - i eta) / Gamma(l + 1/2 + i eta)
     ctx = make_context(1.0, 1.7, 1.3)

@@ -7,6 +7,8 @@ identities (independent of the implementation's scipy route).
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
 import scipy.integrate
 
@@ -189,3 +191,54 @@ def test_negative_xi_rejected_where_log_is_needed():
         free_energy(st)
     with pytest.raises(DomainError):
         entropy(st)
+
+
+def _contract_points(rng, count):
+    """(x, beta, tau, k) over the contract's domain: |x| log-uniform on
+    [1e-6, 1e4], both signs, and x on both sides of the series switch."""
+    xs = [s * 0.01 * f for s in (1.0, -1.0) for f in (1 - 1e-12, 1 + 1e-12, 1.003, 1.03)]
+    xs += list(10 ** rng.uniform(-6.0, 4.0, count) * rng.choice([1.0, -1.0], count))
+    for x in xs:
+        yield x, 10 ** rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.0, 1.0)
+
+
+def test_thermo_contract_against_mpmath():
+    # the thermo docstring's contract, against the closed forms with
+    # mpmath's erfi at 40 digits and D(x) = (sqrt(pi)/2) e^{-x^2} Erfi(x)
+    rng = np.random.default_rng(20261103)
+    for x, beta, tau, kb in _contract_points(rng, 800):
+        st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
+        with mpmath.workdps(40):
+            b, T, K = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(kb)
+            X = mpmath.mpf(st.xi) / T * mpmath.sqrt(b)
+            erfi = mpmath.erfi(X)
+            D = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-X * X) * erfi
+            phi = X / D
+            pre = T * mpmath.sqrt(mpmath.pi) / (2 * mpmath.sqrt(b))
+            Z, U = pre * erfi, (1 - phi) / (2 * b)
+            C = K * ((1 - phi) / 2 + X * (D - X * (1 - 2 * X * D)) / D ** 2 / 4)
+            # (function, value, error scale)
+            checks = [(mean_energy, U, 1e-9 * abs(U))]
+            if abs(x) <= 30.0:
+                checks.append((specific_heat, C, 2e-5 * abs(C)))
+            if max(abs(erfi), abs(Z)) <= 1.7976931348623157e308:
+                checks.append((partition_function, Z, 1e-12 * abs(Z)))
+            else:
+                with pytest.raises(Overflow):
+                    partition_function(st)
+            if X > 0:
+                lnZ = mpmath.log(pre) + mpmath.log(erfi)
+                scale = 1e-13 * max(1, abs(lnZ))
+                checks += [(log_partition_function, lnZ, scale),
+                           (free_energy, -lnZ / b, scale / b),
+                           (entropy, K * (lnZ + b * U), scale * K)]
+            for fn, want, tol in checks:
+                got = fn(st)
+                assert abs(got - want) <= tol, (fn.__name__, x, got, float(want))
+
+
+def test_partition_function_overflow_where_erfi_is_finite():
+    # Erfi(26.6) is finite, but the prefactor takes Z past double range
+    st = ThermoState(beta=1e-6, xi=26.6 * 10.0 / math.sqrt(1e-6), tau=10.0)
+    with pytest.raises(Overflow):
+        partition_function(st)
