@@ -139,7 +139,7 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
 
 
 def _one_minus_phi(x: float) -> float:
-    # 1 - φ(x), φ = x/D(x), cancels totally at x = 0; the series keeps relative accuracy
+    # 1 - x/D(x) cancels totally at x = 0; the series keeps relative accuracy
     if abs(x) < _SERIES_X:
         x2 = x * x
         return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
