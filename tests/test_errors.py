@@ -230,7 +230,8 @@ def test_public_names():
         "log_partition_function", "make_context", "map_azimuthal", "map_polar",
         "mean_energy", "mean_wide_angle_collisions", "nonrel_energy",
         "normalization_constant", "partition_function", "partition_sum",
-        "phase_shift", "polar_eigenvalue", "polar_solution", "pt_parameter_from_strength",
+        "phase_shift", "polar_eigenvalue", "polar_solution",
+        "pt_parameter_from_strength",
         "radial_wavefunction", "radial_wavefunction_with_derivative",
         "scatter_probability", "scattering_amplitude", "screened_rutherford_dcs",
         "screened_sigma_total", "screened_sigma_transport",

@@ -193,20 +193,16 @@ def test_negative_xi_rejected_where_log_is_needed():
         entropy(st)
 
 
-def _contract_points(rng, count):
-    """(x, beta, tau, k) over the contract's domain: |x| log-uniform on
-    [1e-6, 1e4], both signs, and x on both sides of the series switch."""
-    xs = [s * 0.01 * f for s in (1.0, -1.0) for f in (1 - 1e-12, 1 + 1e-12, 1.003, 1.03)]
-    xs += list(10 ** rng.uniform(-6.0, 4.0, count) * rng.choice([1.0, -1.0], count))
-    for x in xs:
-        yield x, 10 ** rng.uniform(-3.0, 3.0), 10 ** rng.uniform(-1.0, 1.0), 10 ** rng.uniform(-1.0, 1.0)
-
-
 def test_thermo_contract_against_mpmath():
     # the thermo docstring's contract, against the closed forms with
-    # mpmath's erfi at 40 digits and D(x) = (sqrt(pi)/2) e^{-x^2} Erfi(x)
+    # mpmath's erfi at 40 digits and D(x) = (sqrt(pi)/2) e^{-x^2} Erfi(x);
+    # |x| is log-uniform on [1e-6, 1e4] with both signs, plus x on both
+    # sides of the series switch |x| = 0.01
     rng = np.random.default_rng(20261103)
-    for x, beta, tau, kb in _contract_points(rng, 800):
+    xs = [s * 0.01 * f for s in (1.0, -1.0) for f in (1 - 1e-12, 1 + 1e-12, 1.003, 1.03)]
+    xs += list(10 ** rng.uniform(-6.0, 4.0, 800) * rng.choice([1.0, -1.0], 800))
+    for x in xs:
+        beta, tau, kb = 10 ** rng.uniform([-3.0, -1.0, -1.0], [3.0, 1.0, 1.0])
         st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
         with mpmath.workdps(40):
             b, T, K = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(kb)
