@@ -7,7 +7,8 @@ exact regular solution
 
 real despite its complex building blocks.  On the k/2π scale the
 asymptotic amplitude is exactly 2 and the phase shift is the argument of
-Γ(ℓ + 1/2 − iη) with η = (M+E)δ/k.
+Γ(ℓ + 1/2 − iη) with η = (M+E)δ/k.  dg/dr comes from g_ℓ and g_{ℓ+1}
+by the Coulomb recurrence (DLMF 33.4.4), not from a second ₁F₁.
 
 Accuracy contract
 -----------------
@@ -153,18 +154,13 @@ def normalization_constant(ctx: RelativisticContext, ell: int) -> float:
     return math.exp(ln_a)
 
 
-def _regular_wave(ctx: RelativisticContext, ell: int, r: float, derivative: bool):
-    """g_{kℓ}(r), and dg/dr from the ₁F₁ derivative if ``derivative``."""
-    ell = check_index(ell, "ell")
-    r = check_positive(r, "r")
+def _regular_wave(ctx: RelativisticContext, ell: int, r: float) -> float:
+    """g_{kℓ}(r) from one Coulomb-case ₁F₁, for a checked ℓ and r."""
     k = ctx.wave_number
-    a = complex(ell + 0.5, -ctx.sommerfeld)
-    b = complex(2 * ell + 1)
-    z = complex(0.0, -2.0 * k * r)
-    F = hyp1f1(a, b, z)
+    F = hyp1f1(complex(ell + 0.5, -ctx.sommerfeld), complex(2 * ell + 1),
+               complex(0.0, -2.0 * k * r))
     ln_pre = log_normalization_constant(ctx, ell) + (ell + 0.5) * math.log(k * r)
-    pre = cmath.exp(complex(ln_pre, k * r))
-    g = pre * F
+    g = cmath.exp(complex(ln_pre, k * r)) * F
     # The normalized envelope is O(2); a pure ratio test would trip on
     # noise at the zeros of g, so the scale is floored at unity.
     scale = max(abs(g), 1.0)
@@ -173,11 +169,7 @@ def _regular_wave(ctx: RelativisticContext, ell: int, r: float, derivative: bool
             f"radial_wavefunction lost realness at r={r!r}, ell={ell}: "
             f"imag/scale = {abs(g.imag) / scale:.3e}"
         )
-    if not derivative:
-        return g.real
-    Fp = (a / b) * hyp1f1(a + 1, b + 1, z)
-    gp = pre * (((ell + 0.5) / r + 1j * k) * F - 2j * k * Fp)
-    return g.real, gp.real
+    return g.real
 
 
 def radial_wavefunction(ctx: RelativisticContext, ell: int, r: float) -> float:
@@ -194,14 +186,21 @@ def radial_wavefunction(ctx: RelativisticContext, ell: int, r: float) -> float:
     RealnessViolation
         If the imaginary residue is too large (a special-function bug).
     """
-    return _regular_wave(ctx, ell, r, derivative=False)
+    return _regular_wave(ctx, check_index(ell, "ell"), check_positive(r, "r"))
 
 
 def radial_wavefunction_with_derivative(
     ctx: RelativisticContext, ell: int, r: float
 ) -> tuple[float, float]:
-    """g_{kℓ}(r) together with dg/dr (analytic, via the ₁F₁ derivative)."""
-    return _regular_wave(ctx, ell, r, derivative=True)
+    """g_{kℓ}(r) and dg/dr = k·[(L′/kr − η/L′)·g_ℓ − √(1 + η²/L′²)·g_{ℓ+1}],
+    L′ = ℓ + 1/2 (DLMF 33.4.4); ℓ + 1 must be an index too, so ℓ < 2**53."""
+    ell = check_index(ell, "ell")
+    check_index(ell + 1, "ell + 1")
+    r = check_positive(r, "r")
+    k, half = ctx.wave_number, ell + 0.5
+    t = ctx.sommerfeld / half
+    g = _regular_wave(ctx, ell, r)
+    return g, k * ((half / (k * r) - t) * g - math.hypot(1.0, t) * _regular_wave(ctx, ell + 1, r))
 
 
 def scattering_amplitude(

@@ -159,6 +159,9 @@ HUGE_INDEX_CASES = [
     ("polar_eigenvalue(n_r=10**400)", lambda: angular.polar_eigenvalue(2, 3, 10**400)),
     ("hyp2f1_terminating(n=10**400)",
      lambda: special.hyp2f1_terminating(10**400, 2.5, 3.5, 0.3)),
+    # g at l + 1 enters dg/dr
+    ("radial_wavefunction_with_derivative(ell=2**53)",
+     lambda: radial.radial_wavefunction_with_derivative(CTX, 2**53, 1.0)),
 ]
 
 

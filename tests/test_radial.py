@@ -25,7 +25,7 @@ from ptdrsc.radial import (
     scattering_amplitude,
     short_range_phase_shift,
 )
-from ptdrsc.special import log_gamma
+from ptdrsc.special import hyp1f1, log_gamma
 
 
 def test_context_kinematics():
@@ -91,15 +91,15 @@ def test_phase_shift_contract_against_mpmath():
 
 def _mp_coulomb_wave(ell, eta, k, kr):
     """g = 2·F_{l-1/2}(-eta, kr) and dg/dr from mpmath at 30 digits; F' by
-    the recurrence F'_L = (L'/rho + eta/L') F_L - sqrt(1 + eta^2/L'^2) F_{L+1},
-    L' = L + 1 (DLMF 33.4.4)."""
+    mpmath.diff, not by the l + 1 recurrence that the library uses."""
     with mpmath.workdps(30):
-        L, eta, rho = mpmath.mpf(ell) - 0.5, -mpmath.mpf(eta), mpmath.mpf(kr)
-        Lp = L + 1
-        F = mpmath.coulombf(L, eta, rho)
-        dF = ((Lp / rho + eta / Lp) * F
-              - mpmath.sqrt(1 + eta ** 2 / Lp ** 2) * mpmath.coulombf(Lp, eta, rho))
-        return float(2 * F), float(2 * k * dF)
+        L, eta = mpmath.mpf(ell) - 0.5, -mpmath.mpf(eta)
+
+        def F(rho):
+            return mpmath.coulombf(L, eta, rho)
+
+        rho = mpmath.mpf(kr)
+        return float(2 * F(rho)), float(2 * k * mpmath.diff(F, rho))
 
 
 @pytest.mark.parametrize("seed,points,ell_max,kr_range", [
@@ -130,6 +130,28 @@ def test_radial_wave_contract_against_mpmath(seed, points, ell_max, kr_range):
         else:
             g = radial_wavefunction(ctx, ell, r)
         assert abs(g - want_g) <= 1e-11 * max(1.0, abs(want_g)), (ell, ctx.sommerfeld, kr, g)
+
+
+def test_radial_waves_call_only_the_coulomb_shape_of_hyp1f1(monkeypatch):
+    # every 1F1 call of both entry points has b = 2·Re a and Re z = 0, the
+    # case whose two large-|z| series are conjugate
+    from ptdrsc import radial
+
+    calls = []
+
+    def spy(a, b, z):
+        calls.append((a, b, z))
+        return hyp1f1(a, b, z)
+
+    monkeypatch.setattr(radial, "hyp1f1", spy)
+    ctx = make_context(1.0, 1.8, 0.6)
+    for ell in (0, 3, 12):
+        for r in (0.3, 8.0, 500.0):
+            radial_wavefunction(ctx, ell, r)
+            radial_wavefunction_with_derivative(ctx, ell, r)
+    assert len(calls) == 27
+    for a, b, z in calls:
+        assert b == 2.0 * a.real and z.real == 0.0, (a, b, z)
 
 
 def test_phase_shift_gamma_ratio_identity():
@@ -254,6 +276,9 @@ def test_radial_wavefunction_asymptotic_sine():
 
 def test_radial_wavefunction_domain():
     ctx = make_context(1.0, 1.5, 1.0)
+    # dg/dr needs g at l + 1, which must be an index too
+    with pytest.raises(DomainError):
+        radial_wavefunction_with_derivative(ctx, 2**53, 1.0)
     with pytest.raises(DomainError):
         radial_wavefunction(ctx, 0, 0.0)
     with pytest.raises(DomainError):
