@@ -38,7 +38,8 @@ __all__ = [
     "azimuthal_m_squared",
 ]
 
-_BRANCH_TOL = 1e-15
+# c + 1/4 may fall this far below 0 by rounding and still count as real
+_BRANCH_TOL = 2.5e-16
 
 
 @dataclass(frozen=True)
@@ -66,12 +67,13 @@ def pt_parameter_from_strength(c: float) -> float:
     eigenfunction has a divergent derivative at the origin.
     """
     c = check_finite(c, "strength")
-    disc = 1.0 + 4.0 * c
-    if disc < -_BRANCH_TOL:
+    # chi = 1/2 + sqrt(c + 1/4); 1 + 4c would overflow for c above 4.5e307
+    s = c + 0.25
+    if s < -_BRANCH_TOL:
         raise ComplexBranch(
             f"strength c = {c!r} < -1/4 puts chi(chi-1) = c on the complex branch"
         )
-    chi = 0.5 * (1.0 + math.sqrt(max(disc, 0.0)))
+    chi = 0.5 + math.sqrt(max(s, 0.0))
     if chi < 1.0:
         warnings.warn(
             f"chi = {chi!r} < 1: eigenfunction derivative is singular at q = 0",

@@ -82,7 +82,7 @@ def check_index(value, name: str, least: int = 0) -> int:
     ``int()`` of a float and the float arithmetic of the callers would
     raise a bare OverflowError.  The range test comes first, so inf and
     NaN never reach ``int()``.  A plain int skips the float test: the
-    level quadratures make hundreds of checked calls.
+    ℓ loop of ``phase_shift`` makes thousands of checked calls.
     """
     if type(value) is int and least <= value <= _INDEX_MAX:
         return value

@@ -68,7 +68,7 @@ class RelativisticContext:
     coupling_delta : float
         Coulomb strength δ > 0 of the potential.
     wave_number : float
-        k = √(E² − M²).
+        k = √((E − M)(E + M)).
     sommerfeld : float
         η = (M + E)·δ/k, the strength parameter of the phase shifts.
     """
@@ -88,6 +88,8 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
     DomainError
         If E ≤ M (bound regime — use the bound-state module), if E is
         not finite, or if the mass or coupling is not positive and finite.
+    Overflow
+        If k, η or M + E leaves double range.
     """
     M = check_positive(M, "mass")
     E = check_finite(E, "energy")
@@ -97,8 +99,17 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
             f"scattering requires energy > mass (got E = {E!r}, M = {M!r}); "
             "energies at or below the mass belong to the bound-state solver"
         )
-    k = math.sqrt(E * E - M * M)
+    k2 = (E - M) * (E + M)
+    # where the product overflows or is subnormal the roots are taken apart
+    k = (math.sqrt(k2) if sys.float_info.min <= k2 < math.inf
+         else math.sqrt(E - M) * math.sqrt(E + M))
     eta = (M + E) * coupling_delta / k
+    if eta == math.inf:
+        # (M + E)·δ alone may overflow where η does not
+        eta = (M + E) * (coupling_delta / k)
+    if not (math.isfinite(k) and math.isfinite(eta)):
+        raise Overflow(f"kinematics at M = {M!r}, E = {E!r}, delta = {coupling_delta!r} "
+                       f"leave double range: k = {k!r}, eta = {eta!r}")
     return RelativisticContext(M, E, coupling_delta, k, eta)
 
 

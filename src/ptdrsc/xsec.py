@@ -60,8 +60,8 @@ __all__ = [
 integrate = lazy_module("scipy.integrate")
 
 _EPSREL = 1e-9
-# below u = 2/Gamma = 0.01 the ratio uses its alternating series
-_RATIO_SERIES_U = 1e-2
+# below u = 2/Gamma = 0.1 the ratio uses its alternating series
+_RATIO_SERIES_U = 0.1
 # log10 bracket for the ratio inversion
 _FIT_LOG_LO = -14.0
 _FIT_LOG_HI = 14.0
@@ -131,12 +131,19 @@ def transport_ratio(dcs: Callable[[float], float]) -> float:
 
 def mean_wide_angle_collisions(number_density: float, path_length: float,
                                sigma_tr: float) -> float:
-    """Expected number of transport-weighted collisions n*R*sigma_tr."""
+    """Expected number of transport-weighted collisions n*R*sigma_tr.
+
+    Raises Overflow where the product leaves double range.
+    """
     for name, v in (("number_density", number_density),
                     ("path_length", path_length), ("sigma_tr", sigma_tr)):
         if not (v >= 0.0 and math.isfinite(v)):
             raise DomainError(f"{name} must be non-negative and finite, got {v!r}")
-    return number_density * path_length * sigma_tr
+    collisions = number_density * path_length * sigma_tr
+    if collisions == math.inf:
+        raise Overflow(f"n*R*sigma_tr = {number_density!r}*{path_length!r}*{sigma_tr!r} "
+                       "exceeds double range")
+    return collisions
 
 
 def scatter_probability(dcs: Callable[[float], float], theta: float) -> float:
@@ -198,13 +205,13 @@ def screened_sigma_total(model: ScreenedRutherford) -> float:
 
 def _log_minus_fraction(u: float) -> float:
     """ln(1+u) - u/(1+u), stable at small u where the two terms cancel
-    to O(u^2); an alternating series takes over below u = 0.01."""
+    to O(u^2); an alternating series to u^19 takes over below u = 0.1."""
     if u < _RATIO_SERIES_U:
         # ln(1+u) - u/(1+u) = sum_{k>=2} (-1)^k (k-1) u^k / k
         term = u * u
         total = 0.5 * term
         k = 3
-        while k <= 12:
+        while k <= 19:
             term *= -u
             total += (k - 1) * term / k
             k += 1

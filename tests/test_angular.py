@@ -32,6 +32,13 @@ def test_branch_inversion_exact_points():
         assert chi * (chi - 1.0) == pytest.approx(c, rel=1e-13)
 
 
+def test_branch_inversion_near_the_top_of_double_range():
+    # 1 + 4c overflows above c = 4.5e307; chi = 1/2 + sqrt(c + 1/4) does not
+    for c in (4.5e307, 1e308, 1.7976931348623157e308):
+        chi = pt_parameter_from_strength(c)
+        assert chi == pytest.approx(math.sqrt(c), rel=1e-15), c
+
+
 def test_branch_boundary_warns():
     with pytest.warns(RuntimeWarning):
         chi = pt_parameter_from_strength(-0.25)

@@ -164,6 +164,13 @@ def test_domain_errors_exit_2():
                    "--ell", "-1", "--r", "1").returncode == 2
 
 
+def test_phase_shifts_at_an_energy_whose_square_overflows():
+    # E^2 overflows at E = 1e300, while k = E and eta = 1 to double precision
+    out = run_cli("phase-shifts", "--energy", "1e300", "--delta", "1", "--lmax", "0",
+                  check=True).stdout.decode()
+    assert out.splitlines()[1] == "0,9.55007724343e-01"
+
+
 def test_numerical_errors_exit_3():
     for i, argv in enumerate((
         # partition function overflows double range at this xi
@@ -174,6 +181,8 @@ def test_numerical_errors_exit_3():
         ("screened-fit", "--phi", "1e308", "--gamma-screen", "1e-300"),
         # the closed total underflows to 0
         ("screened-fit", "--phi", "1", "--gamma-screen", "1e308"),
+        # eta = (M + E)·delta/k overflows
+        ("phase-shifts", "--energy", "1.5", "--delta", "1e308"),
     )):
         r = run_cli(*argv, child=i == 0)
         assert r.returncode == 3, (argv, r.stderr.decode())

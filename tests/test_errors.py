@@ -209,6 +209,12 @@ EXTREME_CASES = [
      lambda: xsec.screened_sigma_total(xsec.ScreenedRutherford(1e308, 1e-300))),
     ("screened_sigma_transport(1e308, 1e-300)",
      lambda: xsec.screened_sigma_transport(xsec.ScreenedRutherford(1e308, 1e-300))),
+    # eta = (M + E)·delta/k leaves double range
+    ("make_context(delta=1e308)", lambda: radial.make_context(1.0, 1.5, 1e308)),
+    # M + E overflows
+    ("make_context(M=1e308, E=1.7e308)", lambda: radial.make_context(1e308, 1.7e308, 1.0)),
+    ("mean_wide_angle_collisions(1e300, 1e300, 1e300)",
+     lambda: xsec.mean_wide_angle_collisions(1e300, 1e300, 1e300)),
 ]
 
 

@@ -36,6 +36,23 @@ def test_context_kinematics():
 
 
 @pytest.mark.parametrize("M,E,d", [
+    (1.0, 1.0 + 1e-10, 1.0),          # E^2 - M^2 cancels near threshold
+    (1.0, 1.0 + 3e-8, 1.0),
+    (1.0, 1e300, 1.0),                # E^2 overflows
+    (1.0, 1.7e308, 1.0),
+    (1e-300, 1.5e-300, 1.0),          # E^2 underflows
+    (1.0, 1e10, 1e300),               # (M + E)·delta overflows, eta does not
+])
+def test_context_kinematics_against_mpmath(M, E, d):
+    ctx = make_context(M, E, d)
+    with mpmath.workdps(40):
+        k = mpmath.sqrt(mpmath.mpf(E) ** 2 - mpmath.mpf(M) ** 2)
+        eta = (mpmath.mpf(M) + E) * d / k
+        assert abs(ctx.wave_number / k - 1) <= 4e-16, (E, ctx.wave_number)
+        assert abs(ctx.sommerfeld / eta - 1) <= 8e-16, (E, ctx.sommerfeld)
+
+
+@pytest.mark.parametrize("M,E,d", [
     (0.0, 1.5, 1.0),
     (1.0, 1.0, 1.0),
     (1.0, 0.5, 1.0),

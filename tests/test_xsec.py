@@ -154,6 +154,18 @@ def test_screened_closed_forms_match_mpmath_quad():
                               (screened_sigma_transport(m), tr),
                               (screened_transport_ratio(m), tr / tot)):
                 assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
+    # a dense seeded sweep over u = 2/Gamma from 0.005 to 0.1, where the
+    # transport and the ratio cancel most, against the closed form at 40
+    # digits that the quadratures above confirm
+    rng = np.random.default_rng(20261501)
+    with mpmath.workdps(40):
+        for gamma in np.exp(rng.uniform(math.log(20.0), math.log(400.0), 2000)):
+            m = ScreenedRutherford(phi=1.0, gamma_screen=float(gamma))
+            u = 2 / mpmath.mpf(float(gamma))
+            f = mpmath.log1p(u) - u / (1 + u)
+            for got, want in ((screened_sigma_transport(m), 2 * mpmath.pi * f),
+                              (screened_transport_ratio(m), 2 * (1 + u) * f / u ** 2)):
+                assert abs(mpmath.mpf(got) / want - 1) <= 1e-14, (gamma, got)
 
 
 @pytest.mark.parametrize("phi", [1e308, 1.7976931348623157e308])
