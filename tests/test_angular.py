@@ -27,16 +27,10 @@ def test_branch_inversion_exact_points():
     assert pt_parameter_from_strength(2.0) == pytest.approx(2.0, abs=1e-15)
     assert pt_parameter_from_strength(6.0) == pytest.approx(3.0, abs=1e-14)
     assert pt_parameter_from_strength(0.0) == 1.0
-    for c in (0.3, 1.7, 12.0):
+    # 1 + 4c overflows above c = 4.5e307, chi itself does not
+    for c in (0.3, 1.7, 12.0, 4.5e307, 1e308):
         chi = pt_parameter_from_strength(c)
         assert chi * (chi - 1.0) == pytest.approx(c, rel=1e-13)
-
-
-def test_branch_inversion_near_the_top_of_double_range():
-    # 1 + 4c overflows above c = 4.5e307; chi = 1/2 + sqrt(c + 1/4) does not
-    for c in (4.5e307, 1e308, 1.7976931348623157e308):
-        chi = pt_parameter_from_strength(c)
-        assert chi == pytest.approx(math.sqrt(c), rel=1e-15), c
 
 
 def test_branch_boundary_warns():
