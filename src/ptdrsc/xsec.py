@@ -205,16 +205,19 @@ def screened_sigma_total(model: ScreenedRutherford) -> float:
 
 def _log_minus_fraction(u: float) -> float:
     """ln(1+u) - u/(1+u), stable at small u where the two terms cancel
-    to O(u^2); an alternating series to u^19 takes over below u = 0.1."""
+    to O(u^2); an alternating series, to u^19 at most, takes over below
+    u = 0.1."""
     if u < _RATIO_SERIES_U:
         # ln(1+u) - u/(1+u) = sum_{k>=2} (-1)^k (k-1) u^k / k
         term = u * u
         total = 0.5 * term
-        k = 3
-        while k <= 19:
+        for k in range(3, 20):
             term *= -u
-            total += (k - 1) * term / k
-            k += 1
+            addend = (k - 1) * term / k
+            if abs(addend) < 2.0 ** -54 * total:
+                # below half an ulp of the total, as is every later term
+                break
+            total += addend
         return total
     return math.log1p(u) - u / (1.0 + u)
 
