@@ -15,6 +15,19 @@ strengths back to the potential constants.
 The levels are Jacobi polynomials P_n^(chi-1/2, lam-1/2)(cos 2 zeta q)
 times (sin zeta q)^chi (cos zeta q)^lam, so their norms come in closed
 form (DLMF 18.3) and nothing here integrates.
+
+Accuracy contract
+-----------------
+Against the Jacobi polynomial over its closed-form norm at 30 digits,
+for n_r <= 30, chi = 0 or 1/2 <= chi <= 30, 1/2 <= lam <= 30 and
+0.1 <= zeta <= 10:
+
+polar_eigenvalue
+    <= 1e-15 relative.
+polar_solution, degenerate_solution
+    the normalized level within 1e-12 of its peak |H| on the well, the
+    bound that hyp2f1_terminating holds for the unnormalized level
+    (measured: 1.5e-13 at worst).
 """
 
 import math

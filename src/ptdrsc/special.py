@@ -11,6 +11,9 @@ hyp1f1
     relative accuracy ≤ 1e-10 for |z| ≤ 50; above the series/asymptotic
     switch radius the large-|z| expansion is used whenever its internal
     error estimate passes, with a high-precision series rescue otherwise.
+    Past |z| = 50 the expansion also passes when its absolute error
+    estimate is ≤ 1e-12 of its larger Poincaré term, so near a zero of F
+    the error is bounded by the envelope of F rather than by |F|.
 hyp2f1_terminating
     scipy's ``hyp2f1`` at a = −n, for c ≥ ½ only (DomainError below:
     there scipy loses up to 1e-7 relative, and the angular levels, its
@@ -35,6 +38,16 @@ Coulomb-wave arguments a = ℓ+½−iη, b = 2ℓ+1, z = −2ikr the second one 
 the conjugate parameters and argument of the first, so its sum is taken
 as the conjugate of the first, with the same bits as summing it; for
 η ≠ 0, log Γ(b − a) = log Γ(ā) is likewise the conjugate of log Γ(a).
+
+High-precision rescue
+---------------------
+Where the double-precision Kummer series cancels, it is summed again in
+mpmath with 25 digits more than the measured cancellation, re-running at
+more digits if the first run lost more than it was given.  Each term is
+t·((a + n)·z)/((b + n)(n + 1)), one division per term, and a real b (as
+for every radial wave) is held as a real mpf, so that division is
+complex by real; the stop tolerance 10^(−dps) is formed once per
+precision.
 
 All operations are pure and hold no mutable state.
 """
@@ -70,6 +83,7 @@ _SWITCH_RADIUS = 30.0     # series below, asymptotic above
 _MAX_TERMS = 100_000      # hard series cap
 _SERIES_RTOL = 1e-13      # internal series accuracy target
 _ASYM_ACCEPT = 1e-12      # accept asymptotic when claimed error is below this
+_CONTRACT_RADIUS = 50.0   # past this, the expansion may also pass on its scale
 _RESCUE_RADIUS = 700.0    # run the high-precision series rescue up to here
 
 
@@ -157,20 +171,24 @@ def _series_mp(a: complex, b: complex, z: complex, dps: int) -> complex:
 
     for _ in range(4):
         with mpmath.workdps(dps):
-            am, bm, zm = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpc(z)
+            am, zm = mpmath.mpc(a), mpmath.mpc(z)
+            # a real b (2ℓ + 1 for every radial wave) stays an mpf, so each
+            # term takes one complex-by-real division
+            bm = mpmath.mpf(b.real) if b.imag == 0.0 else mpmath.mpc(b)
+            tol = mpmath.mpf(10) ** (-dps)
             term = mpmath.mpc(1)
             total = mpmath.mpc(1)
             peak = mpmath.mpf(1)
             below = 0
             n = 0
             while n < _MAX_TERMS:
-                term = term * (am + n) / (bm + n) * zm / (n + 1)
+                term = term * ((am + n) * zm) / ((bm + n) * (n + 1))
                 total += term
                 at = abs(term)
                 if at > peak:
                     peak = at
                 n += 1
-                if at <= mpmath.mpf(10) ** (-dps) * abs(total):
+                if at <= tol * abs(total):
                     below += 1
                     if below >= 3:
                         break
@@ -251,6 +269,10 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
     a − b + 1 = conj(1 − a), −z = conj(z)), so it is the conjugate of the
     first sum and is not summed again.  There, off the real axis,
     log Γ(b − a) = log Γ(ā) is likewise taken as the conjugate of log Γ(a).
+
+    Returns (value, abs_err, scale): t1 + t2, the optimal-truncation
+    error estimate |t1|·e1 + |t2|·e2 plus 5e-16·scale of rounding, and
+    scale = max(|t1|, |t2|), the size of the larger Poincaré term.
     """
     sign = -1.0 if z.imag < 0.0 else 1.0
     lg_b = log_gamma(b)
@@ -274,10 +296,8 @@ def _asymptotic_eval(a: complex, b: complex, z: complex):
                        - a * cmath.log(z)) * s2
     except OverflowError:
         raise Overflow(f"1F1({a!r}; {b!r}; {z!r}) exceeds double range") from None
-    val = t1 + t2
-    mag = max(abs(val), 1e-300)
-    err = (abs(t1) * e1 + abs(t2) * e2) / mag + 5e-16 * max(abs(t1), abs(t2)) / mag
-    return val, err
+    scale = max(abs(t1), abs(t2))
+    return t1 + t2, abs(t1) * e1 + abs(t2) * e2 + 5e-16 * scale, scale
 
 
 def hyp1f1(a, b, z) -> complex:
@@ -308,11 +328,16 @@ def hyp1f1(a, b, z) -> complex:
     The Taylor series is used for |z| ≤ 30 (terminating when three
     consecutive terms fall below 1e-16 of the running sum, 1e5-term cap)
     and upgrades itself to arbitrary precision when cancellation eats the
-    double-precision budget.  Above the switch radius the large-|z|
-    expansion is used whenever its optimal-truncation estimate passes,
-    with the series as a cost-bounded rescue.  When a or b − a is a
-    non-positive integer (F a polynomial, or e^z times one), the
-    expansion would take log Γ at a pole, and the series is used.
+    double-precision budget (see "High-precision rescue" in the module
+    docstring).  Above the switch radius the large-|z| expansion is used
+    when its optimal-truncation estimate is ≤ 1e-12 of |F|, or, past
+    |z| = 50, ≤ 1e-12 of its larger Poincaré term: near a zero of F the
+    first test fails on benign cancellation, and the rescue would take
+    hundreds of digits for an error already bounded by the envelope.
+    Otherwise the series is the rescue up to |z| = 700, and beyond that
+    NoConvergence is raised.  When a or b − a is a non-positive integer
+    (F a polynomial, or e^z times one), the expansion would take log Γ at
+    a pole, and the series is used.
     """
     a = _require_finite_complex(a, "a")
     b = _require_finite_complex(b, "b")
@@ -322,16 +347,14 @@ def hyp1f1(a, b, z) -> complex:
 
     if (abs(z) > _SWITCH_RADIUS
             and not (_is_nonpositive_int(a) or _is_nonpositive_int(b - a))):
-        val, err = _asymptotic_eval(a, b, z)
-        beyond_rescue = abs(z) > _RESCUE_RADIUS
-        # Beyond the rescue radius, best effort up to 1e-6: near zeros of F
-        # the relative estimate is dominated by benign cancellation.
-        if err <= _ASYM_ACCEPT or (beyond_rescue and err <= 1e-6):
+        val, abs_err, scale = _asymptotic_eval(a, b, z)
+        if (abs_err <= _ASYM_ACCEPT * max(abs(val), 1e-300)
+                or (abs(z) > _CONTRACT_RADIUS and abs_err <= _ASYM_ACCEPT * scale)):
             return val
-        if beyond_rescue:
+        if abs(z) > _RESCUE_RADIUS:
             raise NoConvergence(
-                f"1F1 asymptotic error estimate {err:.2e} too large at "
-                f"a={a!r}, b={b!r}, z={z!r}"
+                f"1F1 asymptotic error estimate {abs_err:.2e} (scale {scale:.2e}) too "
+                f"large at a={a!r}, b={b!r}, z={z!r}"
             )
     return _series(a, b, z)
 

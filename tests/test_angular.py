@@ -120,23 +120,50 @@ def test_polar_eigenfunction_normalized_value_oracle():
     assert got == pytest.approx(0.012120570665743484679, rel=1e-9)
 
 
-def _mp_polar_level(q, chi, lam, n_r):
-    """mpmath level: Jacobi polynomial over its closed-form norm (zeta = 1).
+def _mp_polar_level(q, chi, lam, n_r, zeta=1.0):
+    """mpmath level: Jacobi polynomial over its closed-form norm.
 
-    With u = cos 2q the level is ((1-u)/2)^(chi/2) ((1+u)/2)^(lam/2)
+    With u = cos 2ζq the level is ((1-u)/2)^(chi/2) ((1+u)/2)^(lam/2)
     P_n^(a,b)(u) / P_n^(a,b)(1), a = chi - 1/2, b = lam - 1/2, and its
-    squared norm is 2^-(chi+lam) h_n^(a,b) / (2 P_n^(a,b)(1)^2).
+    squared norm is 2^-(chi+lam) h_n^(a,b) / (2 ζ P_n^(a,b)(1)^2).
     """
     n = n_r
     a, b = mpmath.mpf(chi) - 0.5, mpmath.mpf(lam) - 0.5
     h = (2 ** (a + b + 1) / (2 * n + a + b + 1) * mpmath.gamma(n + a + 1)
          * mpmath.gamma(n + b + 1) / (mpmath.factorial(n) * mpmath.gamma(n + a + b + 1)))
     p1 = mpmath.binomial(n + a, n)
-    norm2 = 2 ** (-(a + b + 1)) * h / (2 * p1 * p1)
-    q = mpmath.mpf(q)
-    raw = (mpmath.sin(q) ** chi * mpmath.cos(q) ** lam
-           * mpmath.jacobi(n, a, b, mpmath.cos(2 * q)) / p1)
+    norm2 = 2 ** (-(a + b + 1)) * h / (2 * zeta * p1 * p1)
+    x = zeta * mpmath.mpf(q)
+    raw = (mpmath.sin(x) ** chi * mpmath.cos(x) ** lam
+           * mpmath.jacobi(n, a, b, mpmath.cos(2 * x)) / p1)
     return raw / mpmath.sqrt(norm2)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # chi or lam below 1
+def test_angular_contract_against_mpmath():
+    # the angular docstring's contract, against 30-digit mpmath: for n <= 30,
+    # chi = 0 or 1/2 <= chi <= 30, 1/2 <= lam <= 30 and 0.1 <= zeta <= 10, the
+    # eigenvalue within 1e-15 relative and the normalized level within 1e-12
+    # of its peak, taken over the sampled q
+    rng = np.random.default_rng(20261119)
+    for i in range(80):
+        n = int(rng.integers(0, 31))
+        zeta = 10 ** rng.uniform(-1.0, 1.0)
+        lam = 10 ** rng.uniform(math.log10(0.5), math.log10(30.0))
+        chi = 0.0 if i % 4 == 0 else 10 ** rng.uniform(math.log10(0.5), math.log10(30.0))
+        if chi:
+            sol = polar_solution(chi, lam, n, zeta)
+            with mpmath.workdps(30):
+                want = mpmath.mpf(zeta) ** 2 / 2 * (mpmath.mpf(chi) + lam + 2 * n) ** 2
+                assert abs(sol.eigenvalue / want - 1) <= 1e-15, (chi, lam, n, zeta)
+        else:
+            sol = degenerate_solution(lam, n, zeta)
+        qs = rng.uniform(0.0, math.pi / (2.0 * zeta), 24)
+        with mpmath.workdps(30):
+            want = [float(_mp_polar_level(q, chi, lam, n, zeta)) for q in qs]
+        peak = max(abs(w) for w in want)
+        worst = max(abs(sol.evaluator(float(q)) - w) for q, w in zip(qs, want))
+        assert worst <= 1e-12 * peak, (chi, lam, n, zeta, worst / peak)
 
 
 @pytest.mark.parametrize("chi,lam", [(2.0, 3.0), (1.5, 2.5)])

@@ -38,6 +38,26 @@ def test_closed_form_zeroes_residual():
                     assert abs(r) < 1e-12 * M
 
 
+def test_closed_form_contract_against_mpmath():
+    # the bound docstring's contract over 1e-300 <= M <= 1e300,
+    # 1e-6 <= delta <= 1e6 and n_r, l < 1e6, against 40-digit mpmath:
+    # E within 1e-15·M, the nonrelativistic level within 1e-15 relative
+    # where it is a normal double
+    rng = np.random.default_rng(20261118)
+    for _ in range(2000):
+        M, d = 10 ** rng.uniform([-300.0, -6.0], [300.0, 6.0])
+        n_r, ell = (int(v) - 1 for v in 10 ** rng.uniform(0.0, 6.0, 2))
+        with mpmath.workdps(40):
+            lam2 = mpmath.mpf(2 * n_r + 1 + 2 * ell) ** 2
+            d2 = 4 * mpmath.mpf(d) ** 2
+            want = M * (lam2 - d2) / (lam2 + d2)
+            want_nonrel = -2 * M * d2 / lam2
+            assert abs(bound_energy(M, d, n_r, ell) - want) <= 1e-15 * M, (M, d, n_r, ell)
+            if abs(want_nonrel) >= 2.2250738585072014e-308:
+                got = nonrel_energy(M, d, n_r, ell)
+                assert abs(got / want_nonrel - 1) <= 1e-15, (M, d, n_r, ell)
+
+
 def test_bisection_matches_closed_form():
     for M in (0.5, 1.0, 3.0):
         for d in (0.1, 0.7, 2.0):

@@ -149,6 +149,43 @@ def test_radial_wave_contract_against_mpmath(seed, points, ell_max, kr_range):
         assert abs(g - want_g) <= 1e-11 * max(1.0, abs(want_g)), (ell, ctx.sommerfeld, kr, g)
 
 
+def test_radial_wave_at_a_node_past_kr_25_needs_no_mpmath_rescue(monkeypatch):
+    # at a node of g the large-|z| expansion's error estimate is large
+    # relative to |F| but not to its Poincaré terms; past |z| = 2kr = 50 it
+    # passes on the latter, so within 1e-9 of the node no mpmath series runs
+    # and g still meets the radial contract
+    from ptdrsc import special
+
+    calls = []
+    series_mp = special._series_mp
+    monkeypatch.setattr(special, "_series_mp",
+                        lambda *args: calls.append(args) or series_mp(*args))
+    E, ell = 1.5, 2
+    k = math.sqrt(E * E - 1.0)
+    ctx = make_context(1.0, E, 1.118 * k / (1.0 + E))
+    with mpmath.workdps(30):
+        def F(rho):
+            return mpmath.coulombf(ell - 0.5, -ctx.sommerfeld, rho)
+
+        lo, hi = mpmath.mpf(300.5), mpmath.mpf(301.0)
+        f_lo = F(lo)
+        assert f_lo * F(hi) < 0
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            f_mid = F(mid)
+            if (f_mid < 0) == (f_lo < 0):
+                lo, f_lo = mid, f_mid
+            else:
+                hi = mid
+        node = float(lo)
+        for kr in (node - 1e-9, node, node + 1e-9):
+            r = kr / ctx.wave_number
+            want = float(2 * F(ctx.wave_number * r))
+            g = radial_wavefunction(ctx, ell, r)
+            assert abs(g - want) <= 1e-11 * max(1.0, abs(want)), (kr, g, want)
+    assert calls == []
+
+
 def test_radial_waves_call_only_the_coulomb_shape_of_hyp1f1(monkeypatch):
     # every 1F1 call of both entry points has b = 2·Re a and Re z = 0, the
     # case whose two large-|z| series are conjugate
@@ -205,6 +242,23 @@ def test_normalization_constant_closed_form():
                 - math.lgamma(2 * ell + 1))
         assert abs(ln_a - want) < 1e-12
         assert abs(normalization_constant(ctx, ell) - math.exp(ln_a)) < 1e-12 * math.exp(ln_a)
+
+
+def test_log_normalization_constant_contract_against_mpmath():
+    # the radial docstring's contract: ln A within 2e-11 absolute for
+    # l <= 3000 and 1e-3 <= eta <= 1e4, against 40-digit mpmath.loggamma
+    rng = np.random.default_rng(20261117)
+    for _ in range(400):
+        ell = int(10 ** rng.uniform(0.0, math.log10(3001.0))) - 1
+        eta = 10 ** rng.uniform(-3.0, 4.0)
+        ctx = make_context(1.0, 1.5, eta * math.sqrt(1.25) / 2.5)
+        with mpmath.workdps(40):
+            eta = mpmath.mpf(ctx.sommerfeld)
+            want = ((ell + mpmath.mpf(0.5)) * mpmath.log(2)
+                    + mpmath.re(mpmath.loggamma(mpmath.mpc(ell + 0.5, -eta)))
+                    + mpmath.pi * eta / 2 - mpmath.loggamma(2 * ell + 1))
+            got = log_normalization_constant(ctx, ell)
+            assert abs(got - want) <= 2e-11, (ell, ctx.sommerfeld, got, want)
 
 
 def test_normalization_survives_huge_sommerfeld_parameter():

@@ -213,6 +213,32 @@ def test_hyp1f1_matches_mpmath_over_contract_disk():
             assert _rel(hyp1f1(a, b, z), want) <= 1e-10, (a, b, z)
 
 
+def test_hyp1f1_mpmath_rescue_is_correctly_rounded(monkeypatch):
+    # Coulomb-shape points with l <= 10, |eta| <= 5 and 12 <= |z| <= 30,
+    # where the double-precision series cancels and _series falls through to
+    # _series_mp: each part of the result is within one ulp of 50-digit mpmath
+    rescued = []
+    series_mp = special._series_mp
+    monkeypatch.setattr(special, "_series_mp",
+                        lambda *args: rescued.append(args) or series_mp(*args))
+    rng = np.random.default_rng(20261104)
+    checked = 0
+    for _ in range(200):
+        ell = int(rng.integers(0, 11))
+        a, b = complex(ell + 0.5, -rng.uniform(-5.0, 5.0)), complex(2 * ell + 1)
+        z = complex(0.0, rng.choice([-2.0, 2.0]) * rng.uniform(6.0, 15.0))
+        rescued.clear()
+        got = hyp1f1(a, b, z)
+        if not rescued:
+            continue
+        checked += 1
+        with mpmath.workdps(50):
+            want = complex(mpmath.hyp1f1(a, b, z))
+        for part, ref in ((got.real, want.real), (got.imag, want.imag)):
+            assert abs(part - ref) <= math.ulp(ref), (a, b, z, got, want)
+    assert checked >= 150
+
+
 def _coulomb_points(rng, count):
     """(a, b, z) = (l + 1/2 - i eta, 2l + 1, -+2ikr) over l <= 200,
     +-eta in [1e-3, 300] and kr in [12, 1e4], both signs of Im z."""
@@ -266,18 +292,16 @@ def _full_asymptotic_eval(a, b, z):
     t1 = cmath.exp(lg_b - log_gamma(a) + z + (a - b) * cmath.log(z)) * s1
     t2 = cmath.exp(lg_b - log_gamma(b - a) + sign * 1j * math.pi * a
                    - a * cmath.log(z)) * s2
-    val = t1 + t2
-    mag = max(abs(val), 1e-300)
-    err = (abs(t1) * e1 + abs(t2) * e2) / mag + 5e-16 * max(abs(t1), abs(t2)) / mag
-    return val, err
+    scale = max(abs(t1), abs(t2))
+    return t1 + t2, abs(t1) * e1 + abs(t2) * e2 + 5e-16 * scale, scale
 
 
 def test_coulomb_asymptotic_eval_matches_the_full_evaluation_bit_for_bit():
     # the Coulomb case takes the second series and log Γ(b − a) as
-    # conjugates; the value and error estimate that hyp1f1 reads must keep
-    # the bits of the full evaluation, also for real a (η = 0, either sign
-    # of zero) and negative Re a, where scipy's log Γ is not conjugate-
-    # symmetric on the real axis
+    # conjugates; the value, error estimate and scale that hyp1f1 reads
+    # must keep the bits of the full evaluation, also for real a (η = 0,
+    # either sign of zero) and negative Re a, where scipy's log Γ is not
+    # conjugate-symmetric on the real axis
     rng = np.random.default_rng(20261019)
     points = list(_coulomb_points(rng, 2000))
     for _ in range(200):
@@ -289,13 +313,14 @@ def test_coulomb_asymptotic_eval_matches_the_full_evaluation_bit_for_bit():
         points.append((complex(ell + 0.5, rng.choice([0.0, -0.0])), complex(2 * ell + 1), z))
     for a, b, z in points:
         try:
-            want_val, want_err = _full_asymptotic_eval(a, b, z)
+            want_val, want_err, want_scale = _full_asymptotic_eval(a, b, z)
         except OverflowError:
             with pytest.raises(Overflow):
                 special._asymptotic_eval(a, b, z)
             continue
-        val, err = special._asymptotic_eval(a, b, z)
-        assert (_bits(val), err) == (_bits(want_val), want_err), (a, b, z)
+        val, err, scale = special._asymptotic_eval(a, b, z)
+        assert ((_bits(val), err, scale)
+                == (_bits(want_val), want_err, want_scale)), (a, b, z)
 
 
 def test_hyp1f1_non_coulomb_large_z_matches_mpmath():
