@@ -228,18 +228,30 @@ def _asym_sum(p: complex, q: complex, w: complex):
     """Σ (p)_n (q)_n / (n! wⁿ) truncated at its smallest term.
 
     Returns (sum, min_term/|sum|) — the second entry is the standard
-    optimal-truncation error estimate for this divergent series.
+    optimal-truncation error estimate for this divergent series.  With
+    large parameters the terms first rise (in the Coulomb case while
+    ℓ ≳ √(2kr)); the sum runs through the rise, stops at the smallest term
+    after the fall, and adds the rise's rounding, 2.2e-16 of its largest
+    term, to the estimate.  A rise that leaves double range, or does not
+    turn within the term cap, returns (1, 1.0): a rejected estimate.
     """
     term = complex(1.0)
     total = complex(1.0)
     at = 1.0  # |term|, carried from one step to the next
-    min_ratio = 1.0
     n = 0
-    while n < 500:
+    while True:
         nxt = term * (p + n) * (q + n) / ((n + 1) * w)
         a_nxt = abs(nxt)
-        if a_nxt >= at:
+        if a_nxt < at:
             break
+        if n == 499 or not a_nxt < math.inf:  # also catches NaN
+            return complex(1.0), 1.0
+        term, at = nxt, a_nxt
+        total += term
+        n += 1
+    peak = at  # the largest term, 1.0 when the terms fall from the first
+    min_ratio = 1.0
+    while a_nxt < at:
         term, at = nxt, a_nxt
         total += term
         n += 1
@@ -247,8 +259,13 @@ def _asym_sum(p: complex, q: complex, w: complex):
         ratio = at / (mag if mag > 1e-300 else 1e-300)
         if ratio < min_ratio:
             min_ratio = ratio
-        if ratio <= 1e-17:
+        if ratio <= 1e-17 or n == 500:
             break
+        nxt = term * (p + n) * (q + n) / ((n + 1) * w)
+        a_nxt = abs(nxt)
+    if peak > 1.0:
+        mag = abs(total)
+        min_ratio += min(1.0, 2.2e-16 * peak / (mag if mag > 1e-300 else 1e-300))
     return total, min_ratio
 
 
@@ -334,8 +351,10 @@ def hyp1f1(a, b, z) -> complex:
     |z| = 50, ≤ 1e-12 of its larger Poincaré term: near a zero of F the
     first test fails on benign cancellation, and the rescue would take
     hundreds of digits for an error already bounded by the envelope.
-    Otherwise the series is the rescue up to |z| = 700, and beyond that
-    NoConvergence is raised.  When a or b − a is a non-positive integer
+    The expansion's series are summed through an initial rise of their
+    terms (in the Coulomb case from ℓ ≈ √(2kr)) to the smallest term
+    after it.  Otherwise the series is the rescue up to |z| = 700, and
+    beyond that NoConvergence is raised.  When a or b − a is a non-positive integer
     (F a polynomial, or e^z times one), the expansion would take log Γ at
     a pole, and the series is used.
     """

@@ -19,26 +19,31 @@ D(x) = (√π/2)·e^{−x²}·Erfi(x), for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 1
 1e-6 ≤ |x| ≤ 1e4, with x > 0 where ln Z enters:
 
 partition_function
-    ≤ 1e-12 relative; Overflow where Erfi(x) or Z leaves double range.
+    ≤ 1e-12 relative; Overflow where e^(x²) (from |x| ≈ 26.64) or Z
+    leaves double range.
 log_partition_function, free_energy, entropy
     ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S.  S = k(ln Z + βU)
     is a difference of two terms of size ~x², so its error relative to S
     itself grows as x².
 mean_energy
-    ≤ 1e-9 relative; the worst is just above the series switch
-    |x| = 0.01, where 1 − x/D(x) cancels.
+    ≤ 1e-14 relative.
 specific_heat
-    ≤ 2e-5 relative for |x| < 6, the worst just above the series switch
-    |x| = 0.01, where (1 − φ)/2 and xφ′/4 cancel; ≤ 5e-13 for
-    6 ≤ |x| ≤ 1e4, where the large-|x| series of D takes over, and
+    ≤ 7e-13 relative below |x| = 6, the worst just below it, where C is
+    conditioned as ~x⁴ on D(x) and D's own rounding sets the error;
+    ≤ 5e-13 for 6 ≤ |x| < 7, where the large-|x| series of D takes over;
     ≤ 2e-15 from |x| = 7.
+
+U and C share one core: below |x| = 0.45, where 1 − φ and
+(1 − φ)/2 + xφ′/4 cancel, one table of the Taylor coefficients of
+1 − φ in x²; then the closed forms in D(x); and from |x| = 6 C takes
+the large-|x| series of D.
 """
 
 import math
 from dataclasses import dataclass, field
 
 from .errors import DomainError, Overflow, check_finite, check_index, check_positive
-from .special import dawson, erfi
+from .special import dawson
 
 __all__ = [
     "ThermoState",
@@ -52,11 +57,23 @@ __all__ = [
 ]
 
 _SQRT_PI = math.sqrt(math.pi)
-# below this |x| the cancellation in 1 - x/D(x) ~ -(2/3)x² is handled by series
-_SERIES_X = 1e-2
+# ln of the largest double: e^(x²) leaves double range past this x²
+_LOG_MAX = 709.782712893384
+# below this |x| U and C are summed from the Taylor series of 1 − x/D(x)
+_SERIES_X = 0.45
+# (c_n, c_n(1 − n)/2) for n = 14 down to 1, for Horner's rule in x²: c_n is the
+# coefficient of x^(2n) in 1 − x/D(x), the exact rational from the reciprocal
+# of D(x)/x = Σ (−2x²)^n/(2n+1)!!, and C/k = Σ c_n(1 − n)/2·x^(2n).  At
+# |x| = 0.45 the last term is 1e-17 of the first (the series converges for
+# |x| < 2.37, the first complex zero of D).
+_TAYLOR = tuple((c, c * (1 - n) / 2) for n, c in reversed(list(enumerate((
+    -2/3, -8/45, -16/945, 32/14175, 64/93555, -2944/638512875, -5888/273648375,
+    -80384/44405668125, 99380224/194896477400625, 3306665984/32157918771103125,
+    -1358606336/201717854109646875, -11619401703424/3028793579456347828125,
+    -93731667968/698952364489926421875, 61221304303616/564653660170076273671875), 1))))
 # from this |x| the specific heat takes the large-|x| series of D: measured
-# against 50-digit mpmath it is 3e-13 relative at 6, where the closed form is
-# 5e-13, and below 1e-15 past 7, where the closed form's error grows as x²
+# against 50-digit mpmath it is 3.3e-13 relative at 6, where the closed form is
+# 6.5e-13, and below 1e-15 past 7, where the closed form's error grows as x⁴
 _ASYMPTOTIC_X = 6.0
 
 
@@ -87,16 +104,14 @@ class ThermoState:
 
 
 def partition_function(state: ThermoState) -> float:
-    """Continuum partition function Z = τ√π·Erfi(x)/(2√β).
+    """Continuum partition function Z = τ√π·Erfi(x)/(2√β) = τ·e^(x²)·D(x)/√β.
 
-    Raises Overflow where Erfi(x) (from |x| ≈ 26.64) or Z leaves double
+    Raises Overflow where e^(x²) (from |x| ≈ 26.64) or Z leaves double
     range; use log_partition_function in that regime.
     """
     x = state.x
-    try:
-        z = state.tau * _SQRT_PI * erfi(x) / (2.0 * math.sqrt(state.beta))
-    except Overflow:
-        z = math.inf
+    z = math.exp(x * x) if x * x <= _LOG_MAX else math.inf
+    z *= state.tau * dawson(x) / math.sqrt(state.beta)
     if math.isinf(z):
         raise Overflow(
             f"partition function overflows double range at x = {x!r}; "
@@ -143,12 +158,21 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
     return total
 
 
-def _one_minus_phi(x: float) -> float:
-    # 1 - x/D(x) cancels totally at x = 0; the series keeps relative accuracy
+def _energy_and_heat(x: float):
+    """(u, C/k) with u = 1 − φ, φ = x/D(x), and C/k = (1 − φ)/2 + xφ′/4."""
     if abs(x) < _SERIES_X:
-        x2 = x * x
-        return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
-    return 1.0 - x / dawson(x)
+        # both cancel totally at x = 0; the series keeps relative accuracy
+        t = x * x
+        u = cv = 0.0
+        for cu, cc in _TAYLOR:
+            u, cv = u * t + cu, cv * t + cc
+        return u * t, cv * t
+    d = dawson(x)
+    u = 1.0 - x / d
+    if abs(x) >= _ASYMPTOTIC_X:
+        return u, _large_x_heat(x)
+    # φ' = (D − x·D')/D² with D' = 1 − 2xD
+    return u, 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
 
 
 def mean_energy(state: ThermoState) -> float:
@@ -158,7 +182,7 @@ def mean_energy(state: ThermoState) -> float:
     Written through the Dawson ratio, so it is safe for arbitrarily
     large x even when Z itself overflows.
     """
-    return _one_minus_phi(state.x) / (2.0 * state.beta)
+    return _energy_and_heat(state.x)[0] / (2.0 * state.beta)
 
 
 def specific_heat(state: ThermoState) -> float:
@@ -167,19 +191,7 @@ def specific_heat(state: ThermoState) -> float:
     Vanishes ∝ β² as β → 0 (the leading (4/45)x⁴ term of the series)
     and approaches k from above as x → ∞.
     """
-    x = state.x
-    if abs(x) < _SERIES_X:
-        x2 = x * x
-        cv = x2 * x2 * (4.0 / 45.0 + x2 * (16.0 / 945.0))
-    elif abs(x) >= _ASYMPTOTIC_X:
-        cv = _large_x_heat(x)
-    else:
-        d = dawson(x)
-        phi = x / d
-        # φ' = (D - x·D')/D² with D' = 1 - 2xD
-        phi_prime = (d - x + 2.0 * x * x * d) / (d * d)
-        cv = 0.5 * (1.0 - phi) + 0.25 * x * phi_prime
-    return state.boltzmann_k * cv
+    return state.boltzmann_k * _energy_and_heat(state.x)[1]
 
 
 def _large_x_heat(x: float) -> float:

@@ -218,6 +218,29 @@ def test_config_rejects_unknown_keys(tmp_path):
     assert b"masss" in r.stderr
 
 
+def test_unreadable_config_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing.cfg"
+    r = run_cli("phase-shifts", "--config", str(missing), "--energy", "1.5", "--delta", "1")
+    assert r.returncode == 1
+    assert r.stdout == b""
+    assert r.stderr.startswith(b"ptdrsc: usage error: cannot read config")
+    assert r.stderr.count(b"\n") == 1
+
+
+def test_phase_shift_energy_sweep_adds_an_energy_column():
+    # more than one energy: one row per (energy, ell), each row the
+    # single-energy table's row behind its energy
+    argv = ["--delta", "1", "--lmax", "2"]
+    out = run_cli("phase-shifts", "--energy", "1.5:0.5:2.0", *argv, check=True).stdout
+    lines = out.decode().splitlines()
+    assert lines[0] == "energy,ell,delta_ell_rad"
+    want = []
+    for energy in (1.5, 2.0):
+        single = run_cli("phase-shifts", "--energy", str(energy), *argv, check=True).stdout
+        want += [f"{energy:.11e},{row}" for row in single.decode().splitlines()[1:]]
+    assert lines[1:] == want
+
+
 def test_sweep_includes_endpoint():
     out = run_cli("wavefunction", "--energy", "1.5", "--delta", "1",
                   "--r", "1.0:0.25:2.0", check=True).stdout.decode()
@@ -246,6 +269,9 @@ def test_sweep_includes_endpoint():
     ["bound-states", "--delta", "0.5", "--nmax", "100001"],
     ["bound-states", "--delta", "0.5", "--nmax", "400", "--lmax", "400"],
     ["phase-shifts", "--energy", "1.5:0.01:2.5", "--delta", "1", "--lmax", "1000"],
+    # sweeps that do not advance from start to stop
+    ["thermo", "--beta", "1:0:2", "--xi", "1"],
+    ["thermo", "--beta", "2:0.5:1", "--xi", "1"],
 ])
 def test_out_of_bound_counts_are_usage_errors(argv):
     r = run_cli(*argv)

@@ -41,6 +41,8 @@ CASES = [
     ("make_context.E", "finite", lambda v=1.5: radial.make_context(1.0, v, 1.0)),
     ("make_context.delta", "positive", lambda v=1.0: radial.make_context(1.0, 1.5, v)),
     ("phase_shift.ell", "index", lambda v=1: radial.phase_shift(CTX, v)),
+    # a whole float is an index too
+    ("phase_shift.ell=3.0", "index", lambda v=3.0: radial.phase_shift(CTX, v)),
     ("short_range_phase_shift.ell", "index", lambda v=1: radial.short_range_phase_shift(CTX, v)),
     ("short_range_phase_shift.ell_prime", "index",
      lambda v=1: radial.short_range_phase_shift(CTX, 1, v)),
@@ -204,6 +206,9 @@ EXTREME_CASES = [
     ("hyp1f1(0.5, 1, 720)", lambda: special.hyp1f1(0.5, 1.0, 720.0)),
     ("hyp1f1(0.5, 1, 800)", lambda: special.hyp1f1(0.5, 1.0, 800.0)),
     ("hyp1f1(2, 2, 800)", lambda: special.hyp1f1(2.0, 2.0, 800.0)),
+    # g at eta = 1, l = 200, kr = 400: the large-|z| expansion fails its
+    # estimate past |z| = 700, where no series rescue runs (NoConvergence)
+    ("hyp1f1(200.5 - 1j, 401, -800j)", lambda: special.hyp1f1(200.5 - 1j, 401.0, -800j)),
     ("nonrel_energy(1, 1e308, 0, 0)", lambda: bound.nonrel_energy(1.0, 1e308, 0, 0)),
     ("screened_sigma_total(1e308, 1e-300)",
      lambda: xsec.screened_sigma_total(xsec.ScreenedRutherford(1e308, 1e-300))),

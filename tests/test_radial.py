@@ -122,12 +122,14 @@ def _mp_coulomb_wave(ell, eta, k, kr):
 @pytest.mark.parametrize("seed,points,ell_max,kr_range", [
     (20261101, 96, 30, (0.05, 100.0)),
     (20261102, 24, 5, (100.0, 1200.0)),
-], ids=["ell<=30,kr<=100", "ell<=5,kr<=1200"])
+    (20261119, 48, 30, (100.0, 1200.0)),
+], ids=["ell<=30,kr<=100", "ell<=5,kr<=1200", "ell<=30,kr<=1200"])
 def test_radial_wave_contract_against_mpmath(seed, points, ell_max, kr_range):
     # the radial docstring's contract: g within 1e-11·max(1, |g|) and
     # dg/dr within 1e-11·max(k, |dg/dr|) of 2·mpmath.coulombf(l - 1/2, -eta, kr),
-    # for 0.1 <= eta <= 6 on both kr ranges; points alternate between the
-    # two entry points
+    # for 0.1 <= eta <= 6 and l <= 30 up to kr = 1200, where the large-|z|
+    # series rises before it falls from l ~ sqrt(2kr); points alternate
+    # between the two entry points
     rng = np.random.default_rng(seed)
     lo, hi = (math.log10(v) for v in kr_range)
     for i in range(points):
@@ -147,6 +149,23 @@ def test_radial_wave_contract_against_mpmath(seed, points, ell_max, kr_range):
         else:
             g = radial_wavefunction(ctx, ell, r)
         assert abs(g - want_g) <= 1e-11 * max(1.0, abs(want_g)), (ell, ctx.sommerfeld, kr, g)
+
+
+@pytest.mark.parametrize("eta,ell,kr", [
+    (1.0, 27, 351.0), (1.0, 30, 444.0), (1.0, 45, 1000.0), (1.0, 100, 1000.0), (0.447, 35, 600.0),
+])
+def test_radial_wave_where_the_large_z_terms_rise_before_they_fall(eta, ell, kr):
+    # from l ~ sqrt(2kr) the large-|z| series rises before it falls; past
+    # |z| = 2kr = 700 no mpmath series rescues a rejected expansion, so it
+    # must be summed through the rise, and g meets the radial contract
+    E = 1.5
+    k = math.sqrt(E * E - 1.0)
+    ctx = make_context(1.0, E, eta * k / (1.0 + E))
+    r = kr / ctx.wave_number
+    with mpmath.workdps(30):
+        want = float(2 * mpmath.coulombf(ell - 0.5, -ctx.sommerfeld, ctx.wave_number * r))
+    g = radial_wavefunction(ctx, ell, r)
+    assert abs(g - want) <= 1e-11 * max(1.0, abs(want)), (g, want)
 
 
 def test_radial_wave_at_a_node_past_kr_25_needs_no_mpmath_rescue(monkeypatch):

@@ -197,13 +197,19 @@ def test_thermo_contract_against_mpmath():
     # the thermo docstring's contract, against the closed forms with
     # mpmath's erfi at 40 digits and D(x) = (sqrt(pi)/2) e^{-x^2} Erfi(x);
     # |x| is log-uniform on [1e-6, 1e4] with both signs, plus x on both
-    # sides of the series switches |x| = 0.01 and 6, and a band of 300 x
-    # log-uniform on [7, 1e4], where C meets its tightest bound
+    # sides of |x| = 0.01, the series switch |x| = 0.45 and |x| = 6, a band
+    # of 300 x log-uniform on [7, 1e4], where C meets its tightest bound,
+    # and bands of 100 x of either sign across the series range, its switch
+    # and the worst of the closed form below 6
     rng = np.random.default_rng(20261103)
     xs = [s * 0.01 * f for s in (1.0, -1.0) for f in (1 - 1e-12, 1 + 1e-12, 1.003, 1.03)]
     xs += list(10 ** rng.uniform(-6.0, 4.0, 800) * rng.choice([1.0, -1.0], 800))
     xs += [s * 6.0 * f for s in (1.0, -1.0) for f in (1 - 1e-15, 1.0, 1 + 1e-15)]
     xs += list(10 ** np.random.default_rng(20261116).uniform(math.log10(7.0), 4.0, 300))
+    xs += [s * 0.45 * f for s in (1.0, -1.0) for f in (1 - 1e-15, 1.0, 1 + 1e-15)]
+    band_rng = np.random.default_rng(20261118)
+    for lo, hi in ((0.01, 0.02), (0.1, 0.3), (0.3, 0.6), (5.0, 6.0)):
+        xs += list(band_rng.uniform(lo, hi, 100) * band_rng.choice([1.0, -1.0], 100))
     for x in xs:
         beta, tau, kb = 10 ** rng.uniform([-3.0, -1.0, -1.0], [3.0, 1.0, 1.0])
         st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
@@ -217,8 +223,8 @@ def test_thermo_contract_against_mpmath():
             Z, U = pre * erfi, (1 - phi) / (2 * b)
             C = K * ((1 - phi) / 2 + X * (D - X * (1 - 2 * X * D)) / D ** 2 / 4)
             # (function, value, error scale)
-            c_tol = 2e-5 if abs(x) < 6.0 else 5e-13 if abs(x) < 7.0 else 2e-15
-            checks = [(mean_energy, U, 1e-9 * abs(U)), (specific_heat, C, c_tol * abs(C))]
+            c_tol = 7e-13 if abs(x) < 6.0 else 5e-13 if abs(x) < 7.0 else 2e-15
+            checks = [(mean_energy, U, 1e-14 * abs(U)), (specific_heat, C, c_tol * abs(C))]
             if max(abs(erfi), abs(Z)) <= 1.7976931348623157e308:
                 checks.append((partition_function, Z, 1e-12 * abs(Z)))
             else:
