@@ -159,7 +159,11 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
 
 
 def _energy_and_heat(x: float):
-    """(u, C/k) with u = 1 − φ, φ = x/D(x), and C/k = (1 − φ)/2 + xφ′/4."""
+    """(u, C/k) with u = 1 − φ, φ = x/D(x), and C/k = (1 − φ)/2 + xφ′/4.
+
+    C/k is meant for |x| < 6: from there specific_heat takes the large-|x|
+    series, so mean_energy does not pay for it.
+    """
     if abs(x) < _SERIES_X:
         # both cancel totally at x = 0; the series keeps relative accuracy
         t = x * x
@@ -169,8 +173,6 @@ def _energy_and_heat(x: float):
         return u * t, cv * t
     d = dawson(x)
     u = 1.0 - x / d
-    if abs(x) >= _ASYMPTOTIC_X:
-        return u, _large_x_heat(x)
     # φ' = (D − x·D')/D² with D' = 1 − 2xD
     return u, 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
 
@@ -191,7 +193,9 @@ def specific_heat(state: ThermoState) -> float:
     Vanishes ∝ β² as β → 0 (the leading (4/45)x⁴ term of the series)
     and approaches k from above as x → ∞.
     """
-    return state.boltzmann_k * _energy_and_heat(state.x)[1]
+    x = state.x
+    cv = _large_x_heat(x) if abs(x) >= _ASYMPTOTIC_X else _energy_and_heat(x)[1]
+    return state.boltzmann_k * cv
 
 
 def _large_x_heat(x: float) -> float:
