@@ -27,6 +27,7 @@ radial_wavefunction, radial_wavefunction_with_derivative
 """
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -34,7 +35,7 @@ from typing import Optional
 
 from .errors import (DomainError, Overflow, RealnessViolation, check_finite,
                      check_index, check_positive)
-from .special import hyp1f1, log_gamma
+from .special import cython_special, hyp1f1, log_gamma
 
 __all__ = [
     "RelativisticContext",
@@ -117,9 +118,16 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
 
 
 def phase_shift(ctx: RelativisticContext, ell: int) -> float:
-    """Coulomb-like phase shift δ_ℓ = arg Γ(ℓ + 1/2 − iη), in (−π, π]."""
+    """Coulomb-like phase shift δ_ℓ = arg Γ(ℓ + 1/2 − iη), in (−π, π].
+
+    Raises DomainError for a context whose η is not finite.
+    """
     ell = check_index(ell, "ell")
-    raw = log_gamma(complex(ell + 0.5, -ctx.sommerfeld)).imag
+    eta = ctx.sommerfeld
+    if not math.isfinite(eta):
+        raise DomainError(f"sommerfeld parameter must be finite, got {eta!r}")
+    # ℓ + ½ − iη is never a pole, so scipy's log Γ is called without log_gamma's checks
+    raw = cython_special.loggamma(complex(ell + 0.5, -eta)).imag
     wrapped = (raw + math.pi) % _TWO_PI - math.pi
     if wrapped == -math.pi:
         wrapped = math.pi
@@ -253,6 +261,13 @@ def scattering_amplitude(
         s_ℓ = e^(2iδ_ℓ) − 1.  A scalar θ gives a complex, a 1-d array of
         angles an array of the same length.
 
+    Notes
+    -----
+    The θ-independent terms (s_ℓ, the weights and 2·s_ℓ·w_ℓ) are kept for
+    the last table of phase shifts and smoothing only, so calls that repeat
+    a table, one angle at a time, reuse them with the same bits.  Passing
+    every angle in one array is still the fastest path.
+
     Raises
     ------
     DomainError
@@ -260,7 +275,7 @@ def scattering_amplitude(
         a θ array of more than one dimension, or for a phase shift that
         is not finite or so large that 2δ overflows.
     """
-    # Imported here, its only user, so that importing ptdrsc loads no numpy.
+    # Imported where it is used, so that importing ptdrsc loads no numpy.
     import numpy as np
 
     angles = np.asarray(theta, dtype=float)
@@ -278,6 +293,35 @@ def scattering_amplitude(
         raise DomainError("phase_shifts must be a non-empty 1-d sequence")
     if not (np.abs(deltas) <= _MAX_PHASE).all():  # also rejects inf and NaN
         raise DomainError(f"phase_shifts must all be finite with |delta| <= {_MAX_PHASE!r}")
+    s0, ell, terms = _partial_wave_table(deltas.tobytes(), smoothing)
+    flat = angles.reshape(-1)
+    total = np.empty(flat.size, dtype=complex)
+    # The cos ℓθ matrix is built for a block of angles at a time, so its
+    # memory stays near _BLOCK_ELEMENTS floats for any number of angles.
+    rows = max(1, _BLOCK_ELEMENTS // max(ell.size, 1))
+    for start in range(0, flat.size, rows):
+        cosines = np.cos(np.multiply.outer(flat[start:start + rows], ell))
+        # einsum sums each row alike whatever the number of rows (BLAS gemv
+        # does not), so an array of angles gives the scalar calls' bits.
+        real = np.einsum("ij,j->i", cosines, terms.real)
+        imag = np.einsum("ij,j->i", cosines, terms.imag)
+        total[start:start + rows] = s0 + (real + 1j * imag)
+    amplitude = -1j / math.sqrt(_TWO_PI * k) * total
+    return complex(amplitude[0]) if angles.ndim == 0 else amplitude
+
+
+@functools.lru_cache(maxsize=1)
+def _partial_wave_table(key: bytes, smoothing: str):
+    """The θ-independent part of scattering_amplitude for the float64 phase
+    shifts whose bytes are ``key``: s₀ = e^(2iδ₀) − 1, the grid ℓ = 1 … L and
+    the terms 2·s_ℓ·w_ℓ, as read-only arrays.
+
+    Only the last table is kept, so repeated calls on one table (one angle
+    at a time) build it once; the bytes tell −0.0 from 0.0.
+    """
+    import numpy as np
+
+    deltas = np.frombuffer(key)
     L = deltas.size - 1
     ell = np.arange(L + 1)
     s = np.exp(2j * deltas) - 1.0
@@ -288,20 +332,8 @@ def scattering_amplitude(
     else:
         w = np.ones(L + 1)
     terms = 2.0 * s[1:] * w[1:]
-    flat = angles.reshape(-1)
-    total = np.empty(flat.size, dtype=complex)
-    # The cos ℓθ matrix is built for a block of angles at a time, so its
-    # memory stays near _BLOCK_ELEMENTS floats for any number of angles.
-    rows = max(1, _BLOCK_ELEMENTS // max(L, 1))
-    for start in range(0, flat.size, rows):
-        cosines = np.cos(np.multiply.outer(flat[start:start + rows], ell[1:]))
-        # einsum sums each row alike whatever the number of rows (BLAS gemv
-        # does not), so an array of angles gives the scalar calls' bits.
-        real = np.einsum("ij,j->i", cosines, terms.real)
-        imag = np.einsum("ij,j->i", cosines, terms.imag)
-        total[start:start + rows] = s[0] + (real + 1j * imag)
-    amplitude = -1j / math.sqrt(_TWO_PI * k) * total
-    return complex(amplitude[0]) if angles.ndim == 0 else amplitude
+    ell.flags.writeable = terms.flags.writeable = False
+    return s[0], ell[1:], terms
 
 
 def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:

@@ -19,8 +19,7 @@ D(x) = (√π/2)·e^{−x²}·Erfi(x), for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 1
 1e-6 ≤ |x| ≤ 1e4, with x > 0 where ln Z enters:
 
 partition_function
-    ≤ 1e-12 relative; Overflow where e^(x²) (from |x| ≈ 26.64) or Z
-    leaves double range.
+    ≤ 1e-12 relative; Overflow where Z leaves double range.
 log_partition_function, free_energy, entropy
     ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S.  S = k(ln Z + βU)
     is a difference of two terms of size ~x², so its error relative to S
@@ -106,12 +105,20 @@ class ThermoState:
 def partition_function(state: ThermoState) -> float:
     """Continuum partition function Z = τ√π·Erfi(x)/(2√β) = τ·e^(x²)·D(x)/√β.
 
-    Raises Overflow where e^(x²) (from |x| ≈ 26.64) or Z leaves double
-    range; use log_partition_function in that regime.
+    Where e^(x²) leaves double range (from |x| ≈ 26.64), Z is taken as
+    sign(D)·exp(x² + ln(τ·|D(x)|/√β)).  Raises Overflow where Z itself
+    leaves double range; use log_partition_function in that regime.
     """
     x = state.x
-    z = math.exp(x * x) if x * x <= _LOG_MAX else math.inf
-    z *= state.tau * dawson(x) / math.sqrt(state.beta)
+    x2 = x * x
+    if x2 <= _LOG_MAX:
+        z = math.exp(x2)
+        z *= state.tau * dawson(x) / math.sqrt(state.beta)
+    else:
+        # the logs are taken apart, so that τ·|D|/√β cannot underflow to 0
+        d = dawson(x)
+        ln_z = x2 + math.log(abs(d)) + math.log(state.tau) - 0.5 * math.log(state.beta)
+        z = math.copysign(math.exp(ln_z), d) if ln_z <= _LOG_MAX else math.inf
     if math.isinf(z):
         raise Overflow(
             f"partition function overflows double range at x = {x!r}; "

@@ -43,6 +43,9 @@ CASES = [
     ("phase_shift.ell", "index", lambda v=1: radial.phase_shift(CTX, v)),
     # a whole float is an index too
     ("phase_shift.ell=3.0", "index", lambda v=3.0: radial.phase_shift(CTX, v)),
+    # a hand-built context can carry any eta
+    ("phase_shift.sommerfeld", "finite",
+     lambda v=1.0: radial.phase_shift(radial.RelativisticContext(1.0, 1.5, 1.0, 1.0, v), 1)),
     ("short_range_phase_shift.ell", "index", lambda v=1: radial.short_range_phase_shift(CTX, v)),
     ("short_range_phase_shift.ell_prime", "index",
      lambda v=1: radial.short_range_phase_shift(CTX, 1, v)),

@@ -13,6 +13,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from ptdrsc import radial
 from ptdrsc.errors import DomainError
 from ptdrsc.radial import (
     coulomb_cross_section,
@@ -385,6 +386,12 @@ def _direct_sum(shifts, theta, k, weights):
     return -1.0j / math.sqrt(2.0 * math.pi * k) * total
 
 
+def _fresh_amplitude(shifts, theta, k, smoothing="abel"):
+    """scattering_amplitude with its table of θ-independent terms rebuilt."""
+    radial._partial_wave_table.cache_clear()
+    return scattering_amplitude(shifts, theta, k, smoothing=smoothing)
+
+
 def test_scattering_amplitude_matches_direct_sum():
     shifts = [0.3, -0.2, 0.11, 0.05, -0.01]
     k, L = 1.7, 4
@@ -396,8 +403,10 @@ def test_scattering_amplitude_matches_direct_sum():
     thetas = (0.4, 1.2, math.pi)
     for smoothing, w in weights.items():
         for theta in thetas:
-            assert abs(scattering_amplitude(shifts, theta, k, smoothing=smoothing)
-                       - _direct_sum(shifts, theta, k, w)) < 1e-14
+            fresh = _fresh_amplitude(shifts, theta, k, smoothing)
+            assert abs(fresh - _direct_sum(shifts, theta, k, w)) < 1e-14
+            # the second call reuses the table, with the same bits
+            assert scattering_amplitude(shifts, theta, k, smoothing=smoothing) == fresh
         got = scattering_amplitude(shifts, np.array(thetas), k, smoothing=smoothing)
         assert got.shape == (len(thetas),)
         for theta, f in zip(thetas, got):
@@ -415,6 +424,7 @@ def test_scattering_amplitude_matches_direct_sum_at_l2000():
         want = _direct_sum(shifts, theta, k, abel)
         got = scattering_amplitude(shifts, theta, k)
         assert abs(got - want) <= 1e-12 * abs(want)
+        assert got == _fresh_amplitude(shifts, theta, k)
 
 
 def test_scattering_amplitude_array_equals_scalar_calls():
@@ -428,6 +438,32 @@ def test_scattering_amplitude_array_equals_scalar_calls():
             want = scattering_amplitude(shifts, float(theta), 0.9, smoothing=smoothing)
             assert isinstance(want, complex)
             assert abs(f - want) <= 1e-14 * abs(want)
+
+
+def test_scattering_amplitude_keeps_only_the_last_table():
+    table = radial._partial_wave_table
+    assert table.cache_info().maxsize == 1
+    shifts = [0.3, -0.2, 0.11, 0.05, -0.01]
+    f = scattering_amplitude(shifts, 1.2, 1.7)
+    # a list changed in place is a new table
+    shifts[2] = 0.4
+    assert scattering_amplitude(shifts, 1.2, 1.7) == _fresh_amplitude(shifts, 1.2, 1.7) != f
+    # tables that differ only in the sign of a zero, or only in the
+    # smoothing, are different keys
+    for first, second in (([0.0, 0.2], [-0.0, 0.2]), ([-0.0], [0.0])):
+        want = _fresh_amplitude(second, 0.7, 1.0)
+        scattering_amplitude(first, 0.7, 1.0)
+        misses = table.cache_info().misses
+        assert repr(scattering_amplitude(second, 0.7, 1.0)) == repr(want)
+        assert table.cache_info().misses == misses + 1
+    for smoothing in ("none", "cesaro", "abel"):
+        misses = table.cache_info().misses
+        scattering_amplitude(shifts, 1.2, 1.7, smoothing=smoothing)
+        assert table.cache_info().misses == misses + 1
+        assert table.cache_info().currsize == 1
+    # the kept arrays cannot be changed by a caller
+    s0, ell, terms = table(np.asarray(shifts).tobytes(), "abel")
+    assert not (ell.flags.writeable or terms.flags.writeable)
 
 
 def test_scattering_amplitude_phase_conjugation():

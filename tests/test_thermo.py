@@ -76,10 +76,12 @@ def test_log_partition_function_far_regime():
 
 
 def test_partition_function_overflow_is_reported():
-    st = ThermoState(beta=1.0, xi=50.0, tau=1.0)
-    with pytest.raises(Overflow):
-        partition_function(st)
-    assert math.isfinite(log_partition_function(st))
+    # the second state is x = 30 at beta = 1e3, tau = 0.1: Z = e^(895.9)
+    for st in (ThermoState(beta=1.0, xi=50.0, tau=1.0),
+               ThermoState(beta=1e3, xi=30.0 * 0.1 / math.sqrt(1e3), tau=0.1)):
+        with pytest.raises(Overflow):
+            partition_function(st)
+        assert math.isfinite(log_partition_function(st))
 
 
 def test_mean_energy_oracles():
@@ -225,7 +227,7 @@ def test_thermo_contract_against_mpmath():
             # (function, value, error scale)
             c_tol = 7e-13 if abs(x) < 6.0 else 5e-13 if abs(x) < 7.0 else 2e-15
             checks = [(mean_energy, U, 1e-14 * abs(U)), (specific_heat, C, c_tol * abs(C))]
-            if max(abs(erfi), abs(Z)) <= 1.7976931348623157e308:
+            if abs(Z) <= 1.7976931348623157e308:
                 checks.append((partition_function, Z, 1e-12 * abs(Z)))
             else:
                 with pytest.raises(Overflow):
@@ -246,3 +248,17 @@ def test_partition_function_overflow_where_erfi_is_finite():
     st = ThermoState(beta=1e-6, xi=26.6 * 10.0 / math.sqrt(1e-6), tau=10.0)
     with pytest.raises(Overflow):
         partition_function(st)
+
+
+def test_partition_function_where_z_is_finite_and_e_x2_is_not():
+    # x = ±26.7 at beta = 1e3, tau = 0.1: e^(x^2) leaves double range, and
+    # tau/sqrt(beta) brings Z = ±2.382e305 back into it
+    for x in (26.7, -26.7):
+        st = ThermoState(beta=1e3, xi=x * 0.1 / math.sqrt(1e3), tau=0.1)
+        with mpmath.workdps(40):
+            X = mpmath.mpf(st.xi) / mpmath.mpf(st.tau) * mpmath.sqrt(mpmath.mpf(st.beta))
+            want = st.tau * mpmath.sqrt(mpmath.pi) * mpmath.erfi(X) / (2 * mpmath.sqrt(st.beta))
+        got = partition_function(st)
+        assert abs(got - want) <= 1e-12 * abs(want), (x, got, float(want))
+        if x > 0:
+            assert got == pytest.approx(math.exp(log_partition_function(st)), rel=1e-12)

@@ -19,6 +19,20 @@ within each pair, and the number of pairs the change wins (ties count for
 neither side).  The within-pair ratio cancels the host's drift between pairs,
 which moves both sides of a pair alike; the side medians do not.
 
+Each metric also gets three verdicts, each null where it has no value:
+
+- ``gain_shown``: the change wins at least nine tenths of the pairs, and its
+  median is better than the parent's by more than the parent's interquartile
+  range;
+- ``worse_than_bound``: the change's median is worse than the parent's by
+  more than the metric's bound in the parent's BENCHMARK.json, as a fraction
+  of the parent's median;
+- ``unresolved``: the parent's interquartile range, as a fraction of its
+  median, is wider than that bound, and not every change run reads better
+  than every parent run.
+
+The tier-1 wall time has no bound, so only ``gain_shown`` applies to it.
+
 Each pair also runs the tier-1 test suite (``TIER1``, with ``src`` on
 ``PYTHONPATH``) once per side, after the workloads and in the same order.
 Its runs record the wall seconds and the passed and failed counts, and its
@@ -104,25 +118,45 @@ def spread(values):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def verdicts(entry, parent, change):
+    """The gain_shown, worse_than_bound and unresolved verdicts of one
+    summarized metric, from each side's runs."""
+    sign = 1.0 if entry["better"] == "higher" else -1.0
+    p, c, bound = entry["parent"], entry["change"], entry["bound"]
+    gain = (10 * entry["change_wins"] >= 9 * entry["pairs"]
+            and sign * (c["median"] - p["median"]) > p["q3"] - p["q1"])
+    if bound is None or not p["median"]:
+        return {"gain_shown": gain, "worse_than_bound": None, "unresolved": None}
+    base = abs(p["median"])
+    all_better = min(change) > max(parent) if sign > 0 else max(change) < min(parent)
+    return {"gain_shown": gain,
+            "worse_than_bound": -sign * (c["median"] - p["median"]) > bound * base,
+            "unresolved": p["q3"] - p["q1"] > bound * base and not all_better}
+
+
 def summarize(runs, metrics):
     """Per metric: each side's median and quartiles, the same for the
-    change/parent ratio within each pair, and the change's pair wins."""
+    change/parent ratio within each pair, the change's pair wins and the
+    verdicts.  ``metrics`` maps a name to its better direction and bound."""
     out = {}
-    for name, better in metrics.items():
+    for name, (better, bound) in metrics.items():
         pairs = [(r["parent"]["metrics"][name], r["change"]["metrics"][name]) for r in runs]
         if len(pairs) < 2:
             continue
         sign = 1.0 if better == "higher" else -1.0
+        parent, change = [p for p, _ in pairs], [c for _, c in pairs]
         out[name] = {
             "better": better,
-            "parent": spread([p for p, _ in pairs]),
-            "change": spread([c for _, c in pairs]),
+            "bound": bound,
+            "parent": spread(parent),
+            "change": spread(change),
             # None where a parent run reads 0 and the ratio has no value
-            "ratio": spread([c / p for p, c in pairs]) if all(p for p, _ in pairs) else None,
+            "ratio": spread([c / p for p, c in pairs]) if all(parent) else None,
             "change_wins": sum(sign * (c - p) > 0 for p, c in pairs),
             "ties": sum(c == p for p, c in pairs),
             "pairs": len(pairs),
         }
+        out[name].update(verdicts(out[name], parent, change))
     return out
 
 
@@ -139,7 +173,7 @@ def main(argv=None):
         for side in SIDES:
             export(revs[side], checkouts[side])
         spec = json.loads((checkouts["parent"] / "BENCHMARK.json").read_text())
-        metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+        metrics = {m["name"]: (m["better"], m.get("bound")) for m in spec["end_to_end"]}
         workloads = [w["name"] for w in spec["workloads"]]
         seconds = spec["run_seconds"]
         result = {
@@ -171,7 +205,7 @@ def main(argv=None):
                       file=sys.stderr, flush=True)
             entry = result["tier1"]
             entry["runs"].append(run)
-            entry["summary"] = summarize(entry["runs"], {"wall_s": "lower"})
+            entry["summary"] = summarize(entry["runs"], {"wall_s": ("lower", None)})
             args.out.write_text(json.dumps(result, indent=1) + "\n")
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
