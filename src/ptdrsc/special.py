@@ -1,5 +1,5 @@
 """Special functions: complex log-Gamma, confluent hypergeometric ₁F₁,
-terminating Gauss ₂F₁, Dawson function, and imaginary error function.
+terminating Gauss ₂F₁, and the Dawson function.
 
 Accuracy contracts
 ------------------
@@ -20,12 +20,12 @@ hyp2f1_terminating
     one use, have c = χ + ½ ≥ ½); on the angular levels
     (sin q)^χ (cos q)^λ ₂F₁(−n, χ+λ+n; χ+½; sin²q) the error is
     ≤ 1e-12 of the level's peak for n ≤ 30.
-dawson / erfi
+dawson
     relative accuracy ≤ 1e-12 for |x| ≤ 20.
 
 Scalar entry points
 -------------------
-``log_gamma``, ``hyp2f1_terminating``, ``dawson`` and ``erfi`` call
+``log_gamma``, ``hyp2f1_terminating`` and ``dawson`` call
 ``scipy.special.cython_special``, which takes and returns Python scalars,
 so a call pays neither numpy-scalar boxing nor ufunc type resolution.  Its
 values are those of the ``scipy.special`` ufuncs bit for bit.  The module
@@ -71,7 +71,6 @@ __all__ = [
     "hyp1f1",
     "hyp2f1_terminating",
     "dawson",
-    "erfi",
 ]
 
 cython_special = lazy_module("scipy.special.cython_special")
@@ -422,19 +421,3 @@ def dawson(x: float) -> float:
     x = check_finite(x, "x")
     return cython_special.dawsn(x)
 
-
-def erfi(x: float) -> float:
-    """Imaginary error function Erfi(x) = (2/√π) ∫₀ˣ e^(t²) dt.
-
-    Raises
-    ------
-    Overflow
-        When e^(x²) exceeds the double-precision range; the error message
-        carries the sign of the would-be infinity (Erfi is odd).
-    """
-    x = check_finite(x, "x")
-    val = cython_special.erfi(x)
-    if not math.isfinite(val):  # scipy returns ±inf from |x| ≈ 26.642
-        sign = "+" if x > 0 else "-"
-        raise Overflow(f"erfi({x!r}) overflows double range (sign {sign})")
-    return val

@@ -21,9 +21,10 @@ D(x) = (√π/2)·e^{−x²}·Erfi(x), for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 1
 partition_function
     ≤ 1e-12 relative; Overflow where Z leaves double range.
 log_partition_function, free_energy, entropy
-    ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S.  S = k(ln Z + βU)
-    is a difference of two terms of size ~x², so its error relative to S
-    itself grows as x².
+    ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S; Overflow where
+    ln Z leaves double range (from x ≈ 1.34e154).  S = k(ln Z + βU) is a
+    difference of two terms of size ~x², so its error relative to S itself
+    grows as x².
 mean_energy
     ≤ 1e-14 relative.
 specific_heat
@@ -32,10 +33,11 @@ specific_heat
     ≤ 5e-13 for 6 ≤ |x| < 7, where the large-|x| series of D takes over;
     ≤ 2e-15 from |x| = 7.
 
-U and C share one core: below |x| = 0.45, where 1 − φ and
-(1 − φ)/2 + xφ′/4 cancel, one table of the Taylor coefficients of
-1 − φ in x²; then the closed forms in D(x); and from |x| = 6 C takes
-the large-|x| series of D.
+Z and ln Z share one core, ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β with
+the logs taken apart, so Z is returned wherever it is a double.  U and C
+share another: below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4
+cancel, one table of the Taylor coefficients of 1 − φ in x²; then the
+closed forms in D(x); and from |x| = 6 C takes the large-|x| series of D.
 """
 
 import math
@@ -55,8 +57,7 @@ __all__ = [
     "entropy",
 ]
 
-_SQRT_PI = math.sqrt(math.pi)
-# ln of the largest double: e^(x²) leaves double range past this x²
+# ln of the largest double: Z leaves double range past this ln Z
 _LOG_MAX = 709.782712893384
 # below this |x| U and C are summed from the Taylor series of 1 − x/D(x)
 _SERIES_X = 0.45
@@ -102,45 +103,52 @@ class ThermoState:
         return (self.xi / self.tau) * math.sqrt(self.beta)
 
 
+def _log_z(state: ThermoState):
+    """(D(x), ln|Z|) with ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β.
+
+    The logs are taken apart, so that no factor under- or overflows on its
+    own; ln|Z| is −inf where D(x) = 0.  Raises Overflow where ln|Z| itself
+    leaves double range.
+    """
+    x = state.x
+    d = dawson(x)
+    if d == 0.0:
+        return d, -math.inf
+    ln_z = x * x + math.log(abs(d)) + math.log(state.tau) - 0.5 * math.log(state.beta)
+    if not math.isfinite(ln_z):
+        raise Overflow(f"ln Z overflows double range at x = {x!r}")
+    return d, ln_z
+
+
 def partition_function(state: ThermoState) -> float:
     """Continuum partition function Z = τ√π·Erfi(x)/(2√β) = τ·e^(x²)·D(x)/√β.
 
-    Where e^(x²) leaves double range (from |x| ≈ 26.64), Z is taken as
-    sign(D)·exp(x² + ln(τ·|D(x)|/√β)).  Raises Overflow where Z itself
-    leaves double range; use log_partition_function in that regime.
+    Taken as sign(D)·e^(ln|Z|), so Z stays finite wherever it is a double,
+    also where e^(x²) alone is not.  Raises Overflow where Z itself leaves
+    double range; use log_partition_function in that regime.
     """
-    x = state.x
-    x2 = x * x
-    if x2 <= _LOG_MAX:
-        z = math.exp(x2)
-        z *= state.tau * dawson(x) / math.sqrt(state.beta)
-    else:
-        # the logs are taken apart, so that τ·|D|/√β cannot underflow to 0
-        d = dawson(x)
-        ln_z = x2 + math.log(abs(d)) + math.log(state.tau) - 0.5 * math.log(state.beta)
-        z = math.copysign(math.exp(ln_z), d) if ln_z <= _LOG_MAX else math.inf
-    if math.isinf(z):
+    d, ln_z = _log_z(state)
+    if ln_z > _LOG_MAX:
         raise Overflow(
-            f"partition function overflows double range at x = {x!r}; "
+            f"partition function overflows double range at x = {state.x!r}; "
             "use log_partition_function"
         )
-    return z
+    return math.copysign(math.exp(ln_z), d)
 
 
 def log_partition_function(state: ThermoState) -> float:
-    """ln Z, evaluated in log space so large x never overflows.
+    """ln Z, evaluated in log space, so it stays finite where Z overflows.
 
-    Uses ln Erfi(x) = x² + ln(2·D(x)/√π) for every x; requires Z > 0,
-    i.e. x > 0 (DomainError otherwise, since ln of a non-positive
-    partition function is meaningless).
+    Requires Z > 0, i.e. x > 0 (DomainError otherwise, since ln of a
+    non-positive partition function is meaningless).  Raises Overflow where
+    ln Z itself leaves double range.
     """
     x = state.x
     if x <= 0.0:
         raise DomainError(
             f"partition function is non-positive at x = {x!r}; ln Z undefined"
         )
-    prefactor = math.log(state.tau * _SQRT_PI / (2.0 * math.sqrt(state.beta)))
-    return prefactor + x * x + math.log(2.0 * dawson(x) / _SQRT_PI)
+    return _log_z(state)[1]
 
 
 def partition_sum(state: ThermoState, n_max: int) -> float:

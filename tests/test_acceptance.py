@@ -36,7 +36,6 @@ from ptdrsc.thermo import (
 )
 from ptdrsc.xsec import (
     ScreenedRutherford,
-    backward_probability,
     fit_screened,
     forward_probability,
     scatter_probability,
@@ -317,15 +316,26 @@ def test_criterion_09_cross_sections():
     ok_anchor = (abs(anchor_tot - 0.5 * math.pi) < 1e-12
                  and abs(anchor_tr - 2.0 * math.pi * (math.log(2.0) - 0.5)) < 1e-12
                  and abs(anchor_tr - 1.21355) < 5e-5)
+    # the screened shape's cumulative probability in closed form:
+    # P(theta) = mu (2 + Gamma) / (2 (mu + Gamma)), mu = 1 - cos(theta)
+    worst_p = 0.0
+    for gamma in (1e-3, 0.1, 2.0, 1e3):
+        m = ScreenedRutherford(phi=1.0, gamma_screen=gamma)
+        dcs = lambda t: screened_rutherford_dcs(m, t)
+        for theta, p in ((0.5 * math.pi, forward_probability(dcs)),
+                         (0.3, scatter_probability(dcs, 0.3)),
+                         (2.5, scatter_probability(dcs, 2.5))):
+            mu = 1.0 - math.cos(theta)
+            worst_p = max(worst_p, abs(p - mu * (2.0 + gamma) / (2.0 * (mu + gamma))))
     dcs = lambda t: screened_rutherford_dcs(anchor_model, t)
-    split = abs(forward_probability(dcs) + backward_probability(dcs) - 1.0)
     exact_one = scatter_probability(dcs, math.pi)
     ok = (worst_quad <= 1e-8 and worst_fit <= 1e-8 and ok_anchor
-          and split <= 1e-10 and exact_one == 1.0)
+          and worst_p <= 1e-10 and exact_one == 1.0)
     _report(9, "cross-section integrals and fit", ok,
             f"quad-vs-closed {worst_quad:.3e}, fit round-trip {worst_fit:.3e} "
             f"(tol 1e-8); anchors sigma_tot={anchor_tot:.12f}, "
-            f"sigma_tr={anchor_tr:.6f}; P_F+P_B-1 = {split:.1e} (tol 1e-10)")
+            f"sigma_tr={anchor_tr:.6f}; P_F and P(theta) vs closed form "
+            f"{worst_p:.1e} (tol 1e-10)")
 
 
 # ---------------------------------------------------------------------------

@@ -67,12 +67,16 @@ def test_log_partition_function_consistency():
 
 
 def test_log_partition_function_far_regime():
-    # beta=1, xi=30, tau=1: Z itself overflows nothing yet, but the
-    # log-space identity ln Erfi = x^2 + ln(2 D/sqrt(pi)) takes over;
-    # frozen mpmath value
+    # beta=1, xi=30, tau=1: Z = e^(895.9) overflows, ln Z does not;
+    # frozen mpmath value.  At beta = 1e300, xi = tau = 1e-300 (x = 1e150)
+    # ln Z = 1e300 - 1381.6 is finite though tau*sqrt(pi)/(2 sqrt(beta))
+    # underflows, and F = -ln Z/beta = -1
     st = ThermoState(beta=1.0, xi=30.0, tau=1.0)
     assert log_partition_function(st) == pytest.approx(895.90621176706161238,
                                                        rel=1e-13)
+    st = ThermoState(beta=1e300, xi=1e-300, tau=1e-300)
+    assert log_partition_function(st) == pytest.approx(1e300, rel=1e-13)
+    assert free_energy(st) == pytest.approx(-1.0, rel=1e-13)
 
 
 def test_partition_function_overflow_is_reported():
@@ -185,14 +189,18 @@ def test_partition_sum_overflow():
 
 
 def test_negative_xi_rejected_where_log_is_needed():
-    st = ThermoState(beta=0.5, xi=-2.0, tau=1.0)
-    # U and C are even in xi and stay defined
-    assert math.isfinite(mean_energy(st))
-    assert math.isfinite(specific_heat(st))
-    with pytest.raises(DomainError):
-        free_energy(st)
-    with pytest.raises(DomainError):
-        entropy(st)
+    # Z is odd in xi (0.0 at x = 0), so ln Z is undefined for x <= 0
+    for xi in (-2.0, 0.0):
+        st = ThermoState(beta=0.5, xi=xi, tau=1.0)
+        mirror = ThermoState(beta=0.5, xi=-xi, tau=1.0)
+        assert partition_function(st) == -partition_function(mirror)
+        # U and C are even in xi and stay defined
+        assert math.isfinite(mean_energy(st))
+        assert math.isfinite(specific_heat(st))
+        for fn in (log_partition_function, free_energy, entropy):
+            with pytest.raises(DomainError):
+                fn(st)
+    assert partition_function(ThermoState(beta=0.5, xi=0.0, tau=1.0)) == 0.0
 
 
 def test_thermo_contract_against_mpmath():
