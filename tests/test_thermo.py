@@ -69,7 +69,7 @@ def test_log_partition_function_consistency():
 def test_log_partition_function_far_regime():
     # beta=1, xi=30, tau=1: Z = e^(895.9) overflows, ln Z does not;
     # frozen mpmath value.  At beta = 1e300, xi = tau = 1e-300 (x = 1e150)
-    # ln Z = 1e300 - 1381.6 is finite though tau*sqrt(pi)/(2 sqrt(beta))
+    # ln Z = 1e300 - 1382.2 is finite though tau*sqrt(pi)/(2 sqrt(beta))
     # underflows, and F = -ln Z/beta = -1
     st = ThermoState(beta=1.0, xi=30.0, tau=1.0)
     assert log_partition_function(st) == pytest.approx(895.90621176706161238,
