@@ -14,7 +14,10 @@ Accuracy contract
 -----------------
 phase_shift
     error ≤ 2e-12 rad, taken after wrapping into (−π, π], for ℓ ≤ 3000
-    and 0.01 ≤ η ≤ 200.
+    and 0.01 ≤ η ≤ 200.  NumericalError where |Im ln Γ(ℓ + ½ − iη)|
+    reaches 2**52 (from η ≈ 1.4e14 at ℓ = 0), whose ulp of 1 rad or more
+    leaves the wrapped phase no correct digit; this also catches the nan
+    that scipy returns from η ≈ 1e306.
 log_normalization_constant
     error ≤ 2e-11 absolute for ℓ ≤ 3000 and 1e-3 ≤ η ≤ 1e4; the log Γ
     terms of size up to ~4e4 set it at large ℓ.  Past η = 1e4 it grows
@@ -27,14 +30,13 @@ radial_wavefunction, radial_wavefunction_with_derivative
 """
 
 import cmath
-import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, NamedTuple, Optional
 
-from .errors import (DomainError, Overflow, RealnessViolation, check_finite,
-                     check_index, check_positive)
+from .errors import (DomainError, NumericalError, Overflow, RealnessViolation,
+                     check_finite, check_index, check_positive)
 from .special import cython_special, hyp1f1, log_gamma
 
 __all__ = [
@@ -57,6 +59,8 @@ _SMOOTHINGS = ("none", "abel", "cesaro")
 _MAX_PHASE = sys.float_info.max / 2.0
 # Entries of the cos ℓθ matrix that scattering_amplitude holds at once.
 _BLOCK_ELEMENTS = 2**20
+# From this |Im ln Γ| its ulp is at least 1 rad, so no wrapped phase is resolved.
+_MAX_RAW_PHASE = 2.0**52
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,9 @@ def make_context(M: float, E: float, coupling_delta: float) -> RelativisticConte
 def phase_shift(ctx: RelativisticContext, ell: int) -> float:
     """Coulomb-like phase shift δ_ℓ = arg Γ(ℓ + 1/2 − iη), in (−π, π].
 
-    Raises DomainError for a context whose η is not finite.
+    Raises DomainError for a context whose η is not finite, and
+    NumericalError where |Im ln Γ(ℓ + 1/2 − iη)| ≥ 2**52, whose ulp of
+    1 rad or more leaves the wrapped phase no correct digit.
     """
     ell = check_index(ell, "ell")
     eta = ctx.sommerfeld
@@ -128,6 +134,10 @@ def phase_shift(ctx: RelativisticContext, ell: int) -> float:
         raise DomainError(f"sommerfeld parameter must be finite, got {eta!r}")
     # ℓ + ½ − iη is never a pole, so scipy's log Γ is called without log_gamma's checks
     raw = cython_special.loggamma(complex(ell + 0.5, -eta)).imag
+    if not abs(raw) < _MAX_RAW_PHASE:  # also catches nan and inf
+        raise NumericalError(
+            f"phase shift at eta = {eta!r}, ell = {ell} is not resolved: "
+            f"Im ln Gamma = {raw!r} has an ulp of 1 rad or more")
     wrapped = (raw + math.pi) % _TWO_PI - math.pi
     if wrapped == -math.pi:
         wrapped = math.pi
@@ -265,8 +275,16 @@ def scattering_amplitude(
     -----
     The θ-independent terms (s_ℓ, the weights and 2·s_ℓ·w_ℓ) are kept for
     the last table of phase shifts and smoothing only, so calls that repeat
-    a table, one angle at a time, reuse them with the same bits.  Passing
-    every angle in one array is still the fastest path.
+    a table, one angle at a time, reuse them with the same bits.  A list of
+    floats without a zero that equals (==) the last such list also skips its
+    conversion and checks.  Passing every angle in one array is still the
+    fastest path.
+
+    Abel damping only blurs the truncation of a series whose terms do not
+    decay.  Fed Coulomb phases at L = 2000, |f|² is off
+    coulomb_cross_section by up to 6.0e-3 (η = 0.5), 1.7e-2 (η = 1) and
+    4.9e-2 (η = 3) relative over θ ∈ {π/3, π/2, 2π/3, π}, and by 9 % to
+    99 % at θ ∈ {0.01, 0.05, 0.1, 0.2}; at L = 200 the errors are larger.
 
     Raises
     ------
@@ -288,12 +306,27 @@ def scattering_amplitude(
         )
     if smoothing not in _SMOOTHINGS:
         raise DomainError(f"smoothing must be one of {_SMOOTHINGS}, got {smoothing!r}")
-    deltas = np.asarray(phase_shifts, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0:
-        raise DomainError("phase_shifts must be a non-empty 1-d sequence")
-    if not (np.abs(deltas) <= _MAX_PHASE).all():  # also rejects inf and NaN
-        raise DomainError(f"phase_shifts must all be finite with |delta| <= {_MAX_PHASE!r}")
-    s0, ell, terms = _partial_wave_table(deltas.tobytes(), smoothing)
+    global _last_table
+    table = _last_table
+    # A list equal to the last list names the same float64 table (its copy
+    # holds no ±0.0, the only equal floats with unequal bits), so it skips the
+    # conversion and the checks; a NaN or inf compares unequal and is checked.
+    if not (type(phase_shifts) is list and table is not None
+            and table.smoothing == smoothing and phase_shifts == table.shifts):
+        deltas = np.asarray(phase_shifts, dtype=float)
+        if deltas.ndim != 1 or deltas.size == 0:
+            raise DomainError("phase_shifts must be a non-empty 1-d sequence")
+        if not (np.abs(deltas) <= _MAX_PHASE).all():  # also rejects inf and NaN
+            raise DomainError(f"phase_shifts must all be finite with |delta| <= {_MAX_PHASE!r}")
+        key = deltas.tobytes()
+        if table is None or table.smoothing != smoothing or table.key != key:
+            table = _partial_wave_table(deltas, key, smoothing)
+        # only exact floats are kept, since they cannot change in place
+        if (type(phase_shifts) is list and deltas.all()
+                and set(map(type, phase_shifts)) == {float}):
+            table = table._replace(shifts=phase_shifts.copy())
+        _last_table = table
+    s0, ell, terms = table.s0, table.ell, table.terms
     flat = angles.reshape(-1)
     total = np.empty(flat.size, dtype=complex)
     # The cos ℓθ matrix is built for a block of angles at a time, so its
@@ -310,18 +343,30 @@ def scattering_amplitude(
     return complex(amplitude[0]) if angles.ndim == 0 else amplitude
 
 
-@functools.lru_cache(maxsize=1)
-def _partial_wave_table(key: bytes, smoothing: str):
-    """The θ-independent part of scattering_amplitude for the float64 phase
-    shifts whose bytes are ``key``: s₀ = e^(2iδ₀) − 1, the grid ℓ = 1 … L and
-    the terms 2·s_ℓ·w_ℓ, as read-only arrays.
+class _Table(NamedTuple):
+    """The θ-independent part of scattering_amplitude for one table of phase
+    shifts and one smoothing: s₀ = e^(2iδ₀) − 1, the grid ℓ = 1 … L and the
+    terms 2·s_ℓ·w_ℓ, the last two read-only.  ``key`` holds the float64 bytes
+    of δ, which tell −0.0 from 0.0, and ``shifts`` a copy of the list they
+    came from, or None."""
 
-    Only the last table is kept, so repeated calls on one table (one angle
-    at a time) build it once; the bytes tell −0.0 from 0.0.
-    """
+    smoothing: str
+    shifts: Optional[list]
+    key: bytes
+    s0: complex
+    ell: Any
+    terms: Any
+
+
+# The last table that scattering_amplitude used; only one is kept, so calls
+# that repeat a table (one angle at a time) build it once.
+_last_table: Optional[_Table] = None
+
+
+def _partial_wave_table(deltas, key: bytes, smoothing: str) -> _Table:
+    """The _Table of the checked float64 phase shifts ``deltas``."""
     import numpy as np
 
-    deltas = np.frombuffer(key)
     L = deltas.size - 1
     ell = np.arange(L + 1)
     s = np.exp(2j * deltas) - 1.0
@@ -333,7 +378,7 @@ def _partial_wave_table(key: bytes, smoothing: str):
         w = np.ones(L + 1)
     terms = 2.0 * s[1:] * w[1:]
     ell.flags.writeable = terms.flags.writeable = False
-    return s[0], ell[1:], terms
+    return _Table(smoothing, None, key, s[0], ell[1:], terms)
 
 
 def coulomb_cross_section(alpha: float, k: float, theta: float) -> float:

@@ -33,6 +33,14 @@ specific_heat
     ≤ 5e-13 for 6 ≤ |x| < 7, where the large-|x| series of D takes over;
     ≤ 2e-15 from |x| = 7.
 
+At the ends of double range every function returns a finite value or raises
+Overflow.  x is formed without ξ/τ where that ratio alone would leave the
+normal range.  Where x underflows, Z = ξ·e^{x²}·D(x)/x is ξ.  Where
+φ = x/D(x) overflows (|x| ≳ 9.5e153), U = 1/(2β) − (ξ/τ)²/(1 − E) with
+E = 1 − 2xD from the large-|x| series; S = k(ln Z + βU) there keeps only
+its absolute bound above.  Z, ln Z, U and F raise Overflow where they, or
+x, leave double range; C tends to k.
+
 Z and ln Z share one core, ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β with
 the logs taken apart, so Z is returned wherever it is a double.  U and C
 share another: below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4
@@ -41,6 +49,7 @@ closed forms in D(x); and from |x| = 6 C takes the large-|x| series of D.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import DomainError, Overflow, check_finite, check_index, check_positive
@@ -99,18 +108,36 @@ class ThermoState:
 
     @property
     def x(self) -> float:
-        """Scaling variable x = (ξ/τ)·√β all quantities depend on."""
-        return (self.xi / self.tau) * math.sqrt(self.beta)
+        """Scaling variable x = (ξ/τ)·√β all quantities depend on.
+
+        Where ξ/τ alone would under- or overflow, x is formed from the
+        mantissas and exponents of ξ and τ apart; it is ±inf where x itself
+        leaves double range.
+        """
+        ratio = self.xi / self.tau
+        if sys.float_info.min <= abs(ratio) < math.inf or self.xi == 0.0:
+            return ratio * math.sqrt(self.beta)
+        (m, e), (n, f) = math.frexp(self.xi), math.frexp(self.tau)
+        try:
+            return math.ldexp(m / n * math.sqrt(self.beta), e - f)
+        except OverflowError:
+            return math.copysign(math.inf, self.xi)
 
 
 def _log_z(state: ThermoState):
-    """(D(x), ln|Z|) with ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β.
+    """(a number with the sign of Z, ln|Z|), ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β.
 
     The logs are taken apart, so that no factor under- or overflows on its
-    own; ln|Z| is −inf where D(x) = 0.  Raises Overflow where ln|Z| itself
-    leaves double range.
+    own; ln|Z| is −inf where Z = 0.  Where x underflows, Z = ξ·e^(x²)·D(x)/x
+    is ξ to double precision.  Raises Overflow where x or ln|Z| leaves
+    double range.
     """
     x = state.x
+    if math.isinf(x):
+        raise Overflow(f"x = (xi/tau)*sqrt(beta) and ln Z leave double range at {state!r}")
+    if abs(x) < sys.float_info.min:
+        xi = state.xi
+        return xi, math.log(abs(xi)) if xi else -math.inf
     d = dawson(x)
     if d == 0.0:
         return d, -math.inf
@@ -124,8 +151,9 @@ def partition_function(state: ThermoState) -> float:
     """Continuum partition function Z = τ√π·Erfi(x)/(2√β) = τ·e^(x²)·D(x)/√β.
 
     Taken as sign(D)·e^(ln|Z|), so Z stays finite wherever it is a double,
-    also where e^(x²) alone is not.  Raises Overflow where Z itself leaves
-    double range; use log_partition_function in that regime.
+    also where e^(x²) alone is not, and as ξ where x underflows.  Raises
+    Overflow where Z itself leaves double range; use log_partition_function
+    in that regime.
     """
     d, ln_z = _log_z(state)
     if ln_z > _LOG_MAX:
@@ -133,6 +161,8 @@ def partition_function(state: ThermoState) -> float:
             f"partition function overflows double range at x = {state.x!r}; "
             "use log_partition_function"
         )
+    if abs(state.x) < sys.float_info.min:
+        return d  # ξ itself, which e^(ln|ξ|) would round
     return math.copysign(math.exp(ln_z), d)
 
 
@@ -143,10 +173,9 @@ def log_partition_function(state: ThermoState) -> float:
     non-positive partition function is meaningless).  Raises Overflow where
     ln Z itself leaves double range.
     """
-    x = state.x
-    if x <= 0.0:
+    if state.xi <= 0.0:  # x has the sign of ξ, also where it underflows
         raise DomainError(
-            f"partition function is non-positive at x = {x!r}; ln Z undefined"
+            f"partition function is non-positive at x = {state.x!r}; ln Z undefined"
         )
     return _log_z(state)[1]
 
@@ -177,7 +206,8 @@ def _energy_and_heat(x: float):
     """(u, C/k) with u = 1 − φ, φ = x/D(x), and C/k = (1 − φ)/2 + xφ′/4.
 
     C/k is meant for |x| < 6: from there specific_heat takes the large-|x|
-    series, so mean_energy does not pay for it.
+    series, so mean_energy does not pay for it.  Where φ ≈ 2x² overflows,
+    from |x| ≈ 9.5e153, u is −inf and C/k is not formed (D² underflows).
     """
     if abs(x) < _SERIES_X:
         # both cancel totally at x = 0; the series keeps relative accuracy
@@ -188,6 +218,8 @@ def _energy_and_heat(x: float):
         return u * t, cv * t
     d = dawson(x)
     u = 1.0 - x / d
+    if u == -math.inf:
+        return u, math.nan
     # φ' = (D − x·D')/D² with D' = 1 − 2xD
     return u, 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
 
@@ -196,10 +228,22 @@ def mean_energy(state: ThermoState) -> float:
     """Internal energy U = −∂_β ln Z = (1/2β)·(1 − x/D(x)).
 
     Tends to −ξ²/(3τ²) as β → 0 and to the ground level as β grows.
-    Written through the Dawson ratio, so it is safe for arbitrarily
-    large x even when Z itself overflows.
+    Written through the Dawson ratio, so it is finite where Z itself
+    overflows.  Where φ = x/D(x) overflows, from |x| ≈ 9.5e153, it takes
+    D = (1 − E)/(2x) with E = 1 − 2xD from the large-|x| series:
+    U = 1/(2β) − (ξ/τ)²/(1 − E).  Raises Overflow where U leaves double
+    range.
     """
-    return _energy_and_heat(state.x)[0] / (2.0 * state.beta)
+    x = state.x
+    u = -math.inf if math.isinf(x) else _energy_and_heat(x)[0]
+    if u != -math.inf:
+        energy = u / (2.0 * state.beta)
+    else:
+        ratio = state.xi / state.tau
+        energy = 0.5 / state.beta - ratio * ratio / (1.0 - _large_x_series(x)[2])
+    if not math.isfinite(energy):  # also nan, where 1/(2β) and (ξ/τ)² both overflow
+        raise Overflow(f"mean energy leaves double range at {state!r}")
+    return energy
 
 
 def specific_heat(state: ThermoState) -> float:
@@ -213,16 +257,13 @@ def specific_heat(state: ThermoState) -> float:
     return state.boltzmann_k * cv
 
 
-def _large_x_heat(x: float) -> float:
-    """C/k for |x| ≥ 6 from the large-x series of the Dawson integral.
+def _large_x_series(x: float):
+    """(s, T, E) of the large-x series of the Dawson integral, for |x| ≥ 6.
 
-    With R = Σ_{n≥1} (2n+1)!!/(2x²)ⁿ, E = 1 − 2xD = −(1 + R)/(2x²) and
-    D = (1 − E)/(2x), C/k = [(1 − E)²/(2x²) + (R + E)/2]/(4D²), which is
-    (1 − φ)/2 + xφ′/4 without its ½ − ½ cancellation.  In s = 1/(2x²) and
-    T = R/s = Σ_{n≥1} (2n+1)!! s^(n−1) it reads ½ + (T(1 − s) − 1)/(4(1 − E)²),
-    which stays finite where x² overflows (s = 0 gives C = k).  The series
-    diverges; it is cut at its smallest term, about e^(−x²), or where a
-    term would round away.
+    With s = 1/(2x²), R = Σ_{n≥1} (2n+1)!!/(2x²)ⁿ and T = R/s =
+    Σ_{n≥1} (2n+1)!! s^(n−1), E = 1 − 2xD = −s(1 + R) and D = (1 − E)/(2x);
+    s = 0 where x² overflows.  The series diverges; it is cut at its
+    smallest term, about e^(−x²), or where a term would round away.
     """
     s = 0.5 / (x * x)
     term = total = 3.0
@@ -234,13 +275,30 @@ def _large_x_heat(x: float) -> float:
         term = nxt
         total += term
         n += 1
-    e = -s * (1.0 + s * total)
+    return s, total, -s * (1.0 + s * total)
+
+
+def _large_x_heat(x: float) -> float:
+    """C/k for |x| ≥ 6 from the large-x series of the Dawson integral.
+
+    C/k = [(1 − E)²/(2x²) + (R + E)/2]/(4D²), which is (1 − φ)/2 + xφ′/4
+    without its ½ − ½ cancellation.  In the terms of _large_x_series it
+    reads ½ + (T(1 − s) − 1)/(4(1 − E)²), which stays finite where x²
+    overflows (s = 0 gives C = k).
+    """
+    s, total, e = _large_x_series(x)
     return 0.5 + (total * (1.0 - s) - 1.0) / (4.0 * (1.0 - e) ** 2)
 
 
 def free_energy(state: ThermoState) -> float:
-    """Helmholtz free energy F = −(1/β)·ln Z (log-space evaluation)."""
-    return -log_partition_function(state) / state.beta
+    """Helmholtz free energy F = −(1/β)·ln Z (log-space evaluation).
+
+    Raises Overflow where F leaves double range.
+    """
+    f = -log_partition_function(state) / state.beta
+    if math.isinf(f):
+        raise Overflow(f"free energy leaves double range at {state!r}")
+    return f
 
 
 def entropy(state: ThermoState) -> float:

@@ -222,12 +222,20 @@ EXTREME_CASES = [
     ("make_context(delta=1e308)", lambda: radial.make_context(1.0, 1.5, 1e308)),
     # M + E overflows
     ("make_context(M=1e308, E=1.7e308)", lambda: radial.make_context(1e308, 1.7e308, 1.0)),
+    # |Im ln Gamma| past 2**52, where its ulp is 4 rad; scipy's is -inf at 1e306
+    ("phase_shift(eta=1e15)", lambda: radial.phase_shift(radial.make_context(1.0, 1.25, 1e15 / 3), 0)),
+    ("phase_shift(eta=1e306)",
+     lambda: radial.phase_shift(radial.make_context(1.0, 1.25, 1e306 / 3), 0)),
     ("mean_wide_angle_collisions(1e300, 1e300, 1e300)",
      lambda: xsec.mean_wide_angle_collisions(1e300, 1e300, 1e300)),
     # x = 1e155: x² and so ln Z leave double range
     ("log_partition_function(xi=1e155)", lambda: thermo.log_partition_function(HUGE_X)),
     ("free_energy(xi=1e155)", lambda: thermo.free_energy(HUGE_X)),
     ("entropy(xi=1e155)", lambda: thermo.entropy(HUGE_X)),
+    ("mean_energy(xi=1e155)", lambda: thermo.mean_energy(HUGE_X)),
+    # xi/tau = 1e600, so x itself leaves double range
+    ("partition_function(xi=1e300, tau=1e-300)",
+     lambda: thermo.partition_function(thermo.ThermoState(beta=1.0, xi=1e300, tau=1e-300))),
 ]
 
 

@@ -388,7 +388,7 @@ def _direct_sum(shifts, theta, k, weights):
 
 def _fresh_amplitude(shifts, theta, k, smoothing="abel"):
     """scattering_amplitude with its table of θ-independent terms rebuilt."""
-    radial._partial_wave_table.cache_clear()
+    radial._last_table = None
     return scattering_amplitude(shifts, theta, k, smoothing=smoothing)
 
 
@@ -440,30 +440,101 @@ def test_scattering_amplitude_array_equals_scalar_calls():
             assert abs(f - want) <= 1e-14 * abs(want)
 
 
-def test_scattering_amplitude_keeps_only_the_last_table():
-    table = radial._partial_wave_table
-    assert table.cache_info().maxsize == 1
+def test_scattering_amplitude_keeps_only_the_last_table(monkeypatch):
+    # which inputs np.asarray converted, and how many tables were built
+    converted, built = [], []
+    asarray, build = np.asarray, radial._partial_wave_table
+
+    def counting_asarray(a, *args, **kwargs):
+        converted.append(a)
+        return asarray(a, *args, **kwargs)
+
+    def counting_build(*args):
+        built.append(args[-1])
+        return build(*args)
+
+    def call(shifts, theta=1.2, k=1.7, smoothing="abel"):
+        """(f, whether the shifts were converted, tables built) of one call."""
+        converted.clear()
+        built.clear()
+        f = scattering_amplitude(shifts, theta, k, smoothing=smoothing)
+        return f, any(a is shifts for a in converted), len(built)
+
+    def fresh(shifts, theta=1.2, k=1.7, smoothing="abel"):
+        """repr of f from a new table, with the slot left as it was."""
+        kept = radial._last_table
+        with monkeypatch.context() as m:
+            m.setattr(np, "asarray", asarray)
+            f = repr(_fresh_amplitude(shifts, theta, k, smoothing))
+        radial._last_table = kept
+        return f
+
+    monkeypatch.setattr(np, "asarray", counting_asarray)
+    monkeypatch.setattr(radial, "_partial_wave_table", counting_build)
     shifts = [0.3, -0.2, 0.11, 0.05, -0.01]
-    f = scattering_amplitude(shifts, 1.2, 1.7)
+    radial._last_table = None
+    f, was_converted, builds = call(shifts)
+    assert was_converted and builds == 1 and repr(f) == fresh(shifts)
+    table = radial._last_table
+    assert table.shifts == shifts and table.shifts is not shifts
+    # the same list, and an equal list of new float objects: a list hit,
+    # which neither converts nor builds and leaves the slot as it was
+    same = [float(repr(d)) for d in shifts]
+    for other in (shifts, same):
+        for theta in (1.2, 0.3):
+            g, was_converted, builds = call(other, theta)
+            assert not was_converted and builds == 0
+            assert repr(g) == fresh(shifts, theta)
+            assert radial._last_table is table
     # a list changed in place is a new table
     shifts[2] = 0.4
-    assert scattering_amplitude(shifts, 1.2, 1.7) == _fresh_amplitude(shifts, 1.2, 1.7) != f
-    # tables that differ only in the sign of a zero, or only in the
-    # smoothing, are different keys
-    for first, second in (([0.0, 0.2], [-0.0, 0.2]), ([-0.0], [0.0])):
-        want = _fresh_amplitude(second, 0.7, 1.0)
-        scattering_amplitude(first, 0.7, 1.0)
-        misses = table.cache_info().misses
-        assert repr(scattering_amplitude(second, 0.7, 1.0)) == repr(want)
-        assert table.cache_info().misses == misses + 1
+    g, was_converted, builds = call(shifts)
+    assert was_converted and builds == 1
+    assert repr(g) == fresh(shifts) != repr(f)
+    # a NaN or inf written in after a hit is still checked
+    for bad in (math.nan, math.inf, -math.inf):
+        assert not call(shifts)[1]
+        shifts[3] = bad
+        with pytest.raises(DomainError):
+            scattering_amplitude(shifts, 1.2, 1.7)
+        shifts[3] = 0.05
+    # a tuple and an array of the same bits convert but reuse the table,
+    # which keeps its list copy for the next list call
+    table = radial._last_table
+    for other in (tuple(shifts), np.array(shifts)):
+        g, was_converted, builds = call(other)
+        assert was_converted and builds == 0 and repr(g) == fresh(shifts)
+        assert radial._last_table.terms is table.terms
+        assert not call(shifts)[1]
+    # elements that can change in place are not kept: an array cell written
+    # after the call makes the next call convert the list again
+    cells = [np.array(d) for d in shifts]
+    radial._last_table = None
+    call(cells)
+    assert radial._last_table.shifts is None
+    cells[1][()] = 0.25
+    g, was_converted, builds = call(cells)
+    assert was_converted and builds == 1
+    assert repr(g) == fresh([float(c) for c in cells])
+    call(shifts)
+    # a changed smoothing is a new table, with the same list
     for smoothing in ("none", "cesaro", "abel"):
-        misses = table.cache_info().misses
-        scattering_amplitude(shifts, 1.2, 1.7, smoothing=smoothing)
-        assert table.cache_info().misses == misses + 1
-        assert table.cache_info().currsize == 1
+        g, was_converted, builds = call(shifts, smoothing=smoothing)
+        assert was_converted and builds == 1
+        assert repr(g) == fresh(shifts, smoothing=smoothing)
+    # lists that hold ±0.0 never take the list path, and tables that differ
+    # only in the sign of a zero are different tables
+    for first, second in (([0.0, 0.2], [-0.0, 0.2]), ([-0.0], [0.0])):
+        want = fresh(second, 0.7, 1.0)
+        call(first, 0.7, 1.0)
+        assert radial._last_table.shifts is None
+        g, was_converted, builds = call(second, 0.7, 1.0)
+        assert was_converted and builds == 1 and repr(g) == want
+        g, was_converted, builds = call(second, 0.7, 1.0)
+        assert was_converted and builds == 0 and repr(g) == want
     # the kept arrays cannot be changed by a caller
-    s0, ell, terms = table(np.asarray(shifts).tobytes(), "abel")
-    assert not (ell.flags.writeable or terms.flags.writeable)
+    assert not (radial._last_table.ell.flags.writeable
+                or radial._last_table.terms.flags.writeable)
 
 
 def test_scattering_amplitude_phase_conjugation():

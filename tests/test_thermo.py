@@ -270,3 +270,50 @@ def test_partition_function_where_z_is_finite_and_e_x2_is_not():
         assert abs(got - want) <= 1e-12 * abs(want), (x, got, float(want))
         if x > 0:
             assert got == pytest.approx(math.exp(log_partition_function(st)), rel=1e-12)
+
+
+def test_mean_energy_where_x_over_dawson_overflows():
+    # x/D(x) ~ 2x^2 overflows from x ~ 9.5e153; U = 1/(2 beta) - (xi/tau)^2/(1 - E)
+    # with E = 1 - 2xD ~ -1/(2x^2), so U = -1 at xi = tau, and -r^2 for r = xi/tau
+    st = ThermoState(beta=1.7e308, xi=5e-324, tau=5e-324)
+    assert st.x == pytest.approx(1.3038404810405297e154, rel=1e-15)
+    assert mean_energy(st) == pytest.approx(-1.0, rel=1e-15)
+    assert math.isfinite(entropy(st))
+    st = ThermoState(beta=1e10, xi=1e150, tau=1.0)
+    assert mean_energy(st) == pytest.approx(-1e300, rel=1e-15)
+    for st in (ThermoState(beta=1.0, xi=1e155, tau=1.0),
+               ThermoState(beta=5e-324, xi=0.3, tau=5e-324)):
+        with pytest.raises(Overflow):
+            mean_energy(st)
+
+
+def test_x_where_xi_over_tau_leaves_double_range():
+    # xi/tau = 1e-400 underflows and 1e400 overflows, x = 1e-250 and 1e250 do not
+    for beta, xi, tau, want in ((1e300, 1e-200, 1e200, 1e-250),
+                                (1e-300, 1e200, 1e-200, 1e250)):
+        st = ThermoState(beta=beta, xi=xi, tau=tau)
+        assert st.x == pytest.approx(want, rel=1e-15)
+    # where x itself overflows, every function but C (which tends to k) overflows
+    st = ThermoState(beta=1.0, xi=1e300, tau=1e-300)
+    assert st.x == math.inf
+    for fn in (partition_function, log_partition_function, mean_energy,
+               free_energy, entropy):
+        with pytest.raises(Overflow):
+            fn(st)
+    assert specific_heat(st) == 1.0
+
+
+def test_partition_function_where_x_underflows():
+    # x = 1e-600 underflows: Z = xi e^(x^2) D(x)/x = xi to double precision
+    for beta, xi, tau in ((1.0, 1e-300, 1e300), (1.0, -1e-300, 1e300),
+                          (1e-300, 0.3, 1e160), (1e-300, 2.5, 1e200)):
+        st = ThermoState(beta=beta, xi=xi, tau=tau)
+        assert abs(st.x) < 2.2250738585072014e-308
+        assert partition_function(st) == xi
+        if xi > 0:
+            assert log_partition_function(st) == pytest.approx(math.log(xi), rel=1e-15)
+            assert free_energy(st) == pytest.approx(-math.log(xi) / beta, rel=1e-15)
+            assert entropy(st) == pytest.approx(math.log(xi), rel=1e-15)
+        else:
+            with pytest.raises(DomainError):
+                log_partition_function(st)
