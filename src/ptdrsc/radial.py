@@ -277,7 +277,8 @@ def scattering_amplitude(
     the last table of phase shifts and smoothing only, so calls that repeat
     a table, one angle at a time, reuse them with the same bits.  A list of
     floats without a zero that equals (==) the last such list also skips its
-    conversion and checks.  Passing every angle in one array is still the
+    conversion and checks, and so takes any element equal to a kept float
+    (a complex with zero imaginary part, say) as that float.  Passing every angle in one array is still the
     fastest path.
 
     Abel damping only blurs the truncation of a series whose terms do not
@@ -311,8 +312,12 @@ def scattering_amplitude(
     # A list equal to the last list names the same float64 table (its copy
     # holds no ±0.0, the only equal floats with unequal bits), so it skips the
     # conversion and the checks; a NaN or inf compares unequal and is checked.
-    if not (type(phase_shifts) is list and table is not None
-            and table.smoothing == smoothing and phase_shifts == table.shifts):
+    try:
+        hit = (type(phase_shifts) is list and table is not None
+               and table.smoothing == smoothing and phase_shifts == table.shifts)
+    except ValueError:  # an element, such as an array, with no truth value
+        hit = False
+    if not hit:
         deltas = np.asarray(phase_shifts, dtype=float)
         if deltas.ndim != 1 or deltas.size == 0:
             raise DomainError("phase_shifts must be a non-empty 1-d sequence")

@@ -236,6 +236,9 @@ EXTREME_CASES = [
     # xi/tau = 1e600, so x itself leaves double range
     ("partition_function(xi=1e300, tau=1e-300)",
      lambda: thermo.partition_function(thermo.ThermoState(beta=1.0, xi=1e300, tau=1e-300))),
+    # ln Z = ln xi = -744.4 where x underflows, so F = -ln Z/beta leaves double range
+    ("free_energy(beta=5e-324, xi=5e-324, tau=1e-12)",
+     lambda: thermo.free_energy(thermo.ThermoState(beta=5e-324, xi=5e-324, tau=1e-12))),
 ]
 
 

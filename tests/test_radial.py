@@ -498,6 +498,10 @@ def test_scattering_amplitude_keeps_only_the_last_table(monkeypatch):
         with pytest.raises(DomainError):
             scattering_amplitude(shifts, 1.2, 1.7)
         shifts[3] = 0.05
+    # a list of arrays, which compare to the kept floats without a truth
+    # value, is checked
+    with pytest.raises(DomainError):
+        scattering_amplitude([np.array([d, d]) for d in shifts], 1.2, 1.7)
     # a tuple and an array of the same bits convert but reuse the table,
     # which keeps its list copy for the next list call
     table = radial._last_table
