@@ -278,8 +278,8 @@ def scattering_amplitude(
     a table, one angle at a time, reuse them with the same bits.  A list of
     floats without a zero that equals (==) the last such list also skips its
     conversion and checks, and so takes any element equal to a kept float
-    (a complex with zero imaginary part, say) as that float.  Passing every angle in one array is still the
-    fastest path.
+    (a complex with zero imaginary part, say) as that float.  Passing every
+    angle in one array is still the fastest path.
 
     Abel damping only blurs the truncation of a series whose terms do not
     decay.  Fed Coulomb phases at L = 2000, |f|² is off
