@@ -183,12 +183,13 @@ def normalization_constant(ctx: RelativisticContext, ell: int) -> float:
         that regime should use :func:`log_normalization_constant`.
     """
     ln_a = log_normalization_constant(ctx, ell)
-    if ln_a > 709.0:
+    try:
+        return math.exp(ln_a)
+    except OverflowError as exc:
         raise Overflow(
             f"normalization constant exp({ln_a:.1f}) overflows; "
             "use log_normalization_constant instead"
-        )
-    return math.exp(ln_a)
+        ) from exc
 
 
 def _regular_wave(ctx: RelativisticContext, ell: int, r: float) -> float:

@@ -6,25 +6,25 @@ index is replaced by an integral, giving
     Z(β) = τ·√π·Erfi(x) / (2·√β),        x = (ξ/τ)·√β,
 
 from which internal energy, specific heat, free energy and entropy all
-follow by differentiating ln Z.  Every derived quantity is expressed
-through the ratio φ(x) = x/D(x) with D the Dawson integral, which keeps
-the formulas in ratio form and free of the e^{x²} growth of Erfi; the
-log-partition function itself is offered separately for the regime
-where Z overflows a double.
+follow by differentiating ln Z.  None is formed from Erfi itself, which
+grows as e^{x²}: ln Z is taken in log space through the Dawson integral
+D(x) = (√π/2)·e^{−x²}·Erfi(x), and U and C through the ratio φ(x) = x/D(x),
+or through a series where φ cancels or overflows.  The log-partition
+function is offered separately for the regime where Z overflows a double.
 
 Accuracy contract
 -----------------
 Against the closed forms evaluated with mpmath's ``erfi`` at 40 digits,
-D(x) = (√π/2)·e^{−x²}·Erfi(x), for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 10 and
-1e-6 ≤ |x| ≤ 1e4, with x > 0 where ln Z enters:
+for 1e-3 ≤ β ≤ 1e3, 0.1 ≤ τ ≤ 10 and 1e-6 ≤ |x| ≤ 1e4, with x > 0 where
+ln Z enters:
 
 partition_function
     ≤ 1e-12 relative; Overflow where Z leaves double range.
 log_partition_function, free_energy, entropy
     ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S; Overflow where
-    ln Z leaves double range (from x ≈ 1.34e154).  S = k(ln Z + βU) is a
-    difference of two terms of size ~x², so its error relative to S itself
-    grows as x².
+    ln Z leaves double range (from x ≈ 1.34e154).  From x = 6, where
+    S = k(ln Z + βU) would cancel two terms of size x², S takes the
+    large-|x| series and is ≤ 1e-14·max(1, |S|) up to x = 1e153.
 mean_energy
     ≤ 1e-14 relative.
 specific_heat
@@ -35,17 +35,17 @@ specific_heat
 
 At the ends of double range every function returns a finite value or raises
 Overflow.  x is formed without ξ/τ where that ratio alone would leave the
-normal range.  Where x underflows, Z = ξ·e^{x²}·D(x)/x is ξ.  Where
-φ = x/D(x) overflows (|x| ≳ 9.5e153), U = 1/(2β) − (ξ/τ)²/(1 − E) with
-E = 1 − 2xD from the large-|x| series; S = k(ln Z + βU) there keeps only
-its absolute bound above.  Z, ln Z, U and F raise Overflow where they, or
-x, leave double range; C tends to k.
+normal range.  Where x underflows, Z = ξ·e^{x²}·D(x)/x is ξ.  Z, ln Z, U
+and F raise Overflow where they, or x, leave double range; C tends to k.
 
 Z and ln Z share one core, ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β with
 the logs taken apart, so Z is returned wherever it is a double.  U and C
-share another: below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4
-cancel, one table of the Taylor coefficients of 1 − φ in x²; then the
-closed forms in D(x); and from |x| = 6 C takes the large-|x| series of D.
+share another, ``_energy_and_heat``, the one place that picks their
+regime: below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4 cancel, one
+table of the Taylor coefficients of 1 − φ in x², with U = (ξ/τ)²·S(x²)/2
+so that no x² is divided by β; then the closed forms in D(x); and from
+|x| = 6 the large-|x| series of D, E = 1 − 2xD, in which
+U = 1/(2β) − (ξ/τ)²/(1 − E) stays finite where φ overflows (|x| ≳ 9.5e153).
 """
 
 import math
@@ -80,9 +80,9 @@ _TAYLOR = tuple((c, c * (1 - n) / 2) for n, c in reversed(list(enumerate((
     -80384/44405668125, 99380224/194896477400625, 3306665984/32157918771103125,
     -1358606336/201717854109646875, -11619401703424/3028793579456347828125,
     -93731667968/698952364489926421875, 61221304303616/564653660170076273671875), 1))))
-# from this |x| the specific heat takes the large-|x| series of D: measured
-# against 50-digit mpmath it is 3.3e-13 relative at 6, where the closed form is
-# 6.5e-13, and below 1e-15 past 7, where the closed form's error grows as x⁴
+# from this |x| U, C and S take the large-|x| series of D: measured against
+# 50-digit mpmath C is 3.3e-13 relative at 6, where the closed form is 6.5e-13,
+# and below 1e-15 past 7, where the closed form's error grows as x⁴
 _ASYMPTOTIC_X = 6.0
 
 
@@ -101,10 +101,10 @@ class ThermoState:
     boltzmann_k: float = field(default=1.0)
 
     def __post_init__(self):
-        check_positive(self.beta, "beta")
-        check_positive(self.tau, "tau")
-        check_finite(self.xi, "xi")
-        check_positive(self.boltzmann_k, "boltzmann_k")
+        # keep the checked floats, so that numpy scalars do not reach the formulas
+        for name, check in (("beta", check_positive), ("tau", check_positive),
+                            ("xi", check_finite), ("boltzmann_k", check_positive)):
+            object.__setattr__(self, name, check(getattr(self, name), name))
 
     @property
     def x(self) -> float:
@@ -185,62 +185,59 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
 
     The discrete counterpart of partition_function; agreement of the two
     is a consistency check on the continuum approximation.  Raises
-    Overflow when any term exceeds double range.
+    Overflow where a term or the sum exceeds double range, or where
+    √β/τ does.
     """
     n_max = check_index(n_max, "n_max")
     sb = math.sqrt(state.beta) / state.tau
     total = 0.0
-    for n in range(n_max + 1):
-        arg = (n - state.xi) * sb
-        expo = arg * arg
-        if expo > 709.0:
-            raise Overflow(
-                f"partition sum term n = {n} has exponent {expo!r} > 709; "
-                "sum overflows double range"
-            )
-        total += math.exp(expo)
+    try:
+        for n in range(n_max + 1):
+            arg = (n - state.xi) * sb
+            total += math.exp(arg * arg)
+    except OverflowError:
+        total = math.inf
+    if not total < math.inf:  # also nan, where √β/τ overflows and meets n − ξ = 0
+        raise Overflow(f"partition sum up to n = {n_max} leaves double range at {state!r}")
     return total
 
 
-def _energy_and_heat(x: float):
-    """(u, C/k) with u = 1 − φ, φ = x/D(x), and C/k = (1 − φ)/2 + xφ′/4.
+def _energy_and_heat(state: ThermoState):
+    """(U, C/k), U = (1 − φ)/(2β) and C/k = (1 − φ)/2 + xφ′/4, φ = x/D(x).
 
-    C/k is meant for |x| < 6: from there specific_heat takes the large-|x|
-    series, so mean_energy does not pay for it.  Where φ ≈ 2x² overflows,
-    from |x| ≈ 9.5e153, u is −inf and C/k is not formed (D² underflows).
+    The one place that picks their regime (see the module notes).  From
+    |x| = 6, C/k = ½ + (T(1 − s) − 1)/(4(1 − E)²) has no ½ − ½ cancellation
+    and is 1 where x² overflows.  U is ±inf or nan where it leaves double range.
     """
+    x = state.x
     if abs(x) < _SERIES_X:
         # both cancel totally at x = 0; the series keeps relative accuracy
         t = x * x
         u = cv = 0.0
         for cu, cc in _TAYLOR:
             u, cv = u * t + cu, cv * t + cc
-        return u * t, cv * t
-    d = dawson(x)
-    u = 1.0 - x / d
-    if u == -math.inf:
-        return u, math.nan
-    # φ' = (D − x·D')/D² with D' = 1 − 2xD
-    return u, 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
+        ratio = state.xi / state.tau
+        return ratio * ratio * u / 2.0, cv * t
+    if abs(x) < _ASYMPTOTIC_X:
+        d = dawson(x)
+        u = 1.0 - x / d
+        # φ' = (D − x·D')/D² with D' = 1 − 2xD
+        cv = 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
+        return u / (2.0 * state.beta), cv
+    s, total, e = _large_x_series(x)
+    ratio = state.xi / state.tau
+    return (0.5 / state.beta - ratio * ratio / (1.0 - e),
+            0.5 + (total * (1.0 - s) - 1.0) / (4.0 * (1.0 - e) ** 2))
 
 
 def mean_energy(state: ThermoState) -> float:
     """Internal energy U = −∂_β ln Z = (1/2β)·(1 − x/D(x)).
 
     Tends to −ξ²/(3τ²) as β → 0 and to the ground level as β grows.
-    Written through the Dawson ratio, so it is finite where Z itself
-    overflows.  Where φ = x/D(x) overflows, from |x| ≈ 9.5e153, it takes
-    D = (1 − E)/(2x) with E = 1 − 2xD from the large-|x| series:
-    U = 1/(2β) − (ξ/τ)²/(1 − E).  Raises Overflow where U leaves double
-    range.
+    Written through the Dawson ratio or its series, so it is finite where
+    Z itself overflows.  Raises Overflow where U leaves double range.
     """
-    x = state.x
-    u = -math.inf if math.isinf(x) else _energy_and_heat(x)[0]
-    if u != -math.inf:
-        energy = u / (2.0 * state.beta)
-    else:
-        ratio = state.xi / state.tau
-        energy = 0.5 / state.beta - ratio * ratio / (1.0 - _large_x_series(x)[2])
+    energy = _energy_and_heat(state)[0]
     if not math.isfinite(energy):  # also nan, where 1/(2β) and (ξ/τ)² both overflow
         raise Overflow(f"mean energy leaves double range at {state!r}")
     return energy
@@ -252,9 +249,7 @@ def specific_heat(state: ThermoState) -> float:
     Vanishes ∝ β² as β → 0 (the leading (4/45)x⁴ term of the series)
     and approaches k from above as x → ∞.
     """
-    x = state.x
-    cv = _large_x_heat(x) if abs(x) >= _ASYMPTOTIC_X else _energy_and_heat(x)[1]
-    return state.boltzmann_k * cv
+    return state.boltzmann_k * _energy_and_heat(state)[1]
 
 
 def _large_x_series(x: float):
@@ -278,18 +273,6 @@ def _large_x_series(x: float):
     return s, total, -s * (1.0 + s * total)
 
 
-def _large_x_heat(x: float) -> float:
-    """C/k for |x| ≥ 6 from the large-x series of the Dawson integral.
-
-    C/k = [(1 − E)²/(2x²) + (R + E)/2]/(4D²), which is (1 − φ)/2 + xφ′/4
-    without its ½ − ½ cancellation.  In the terms of _large_x_series it
-    reads ½ + (T(1 − s) − 1)/(4(1 − E)²), which stays finite where x²
-    overflows (s = 0 gives C = k).
-    """
-    s, total, e = _large_x_series(x)
-    return 0.5 + (total * (1.0 - s) - 1.0) / (4.0 * (1.0 - e) ** 2)
-
-
 def free_energy(state: ThermoState) -> float:
     """Helmholtz free energy F = −(1/β)·ln Z (log-space evaluation).
 
@@ -302,7 +285,18 @@ def free_energy(state: ThermoState) -> float:
 
 
 def entropy(state: ThermoState) -> float:
-    """Entropy S = k(ln Z + βU); satisfies F = U − TS identically."""
+    """Entropy S = k(ln Z + βU); satisfies F = U − TS identically.
+
+    From x = 6, where ln Z and βU are of size x² and cancel, it takes the
+    large-|x| series: S/k = ½ + ½(1 + sT)/(1 − E) + ln D + ln τ − ½ ln β,
+    with D = (1 − E)/(2x).
+    """
+    ln_z = log_partition_function(state)
+    x = state.x
+    if x < _ASYMPTOTIC_X:
+        return state.boltzmann_k * (ln_z + state.beta * mean_energy(state))
+    s, total, e = _large_x_series(x)
     return state.boltzmann_k * (
-        log_partition_function(state) + state.beta * mean_energy(state)
+        0.5 + 0.5 * (1.0 + s * total) / (1.0 - e) + math.log1p(-e) - math.log(2.0 * x)
+        + math.log(state.tau) - 0.5 * math.log(state.beta)
     )

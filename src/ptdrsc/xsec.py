@@ -81,8 +81,9 @@ class ScreenedRutherford:
     gamma_screen: float
 
     def __post_init__(self):
-        check_positive(self.phi, "phi")
-        check_positive(self.gamma_screen, "gamma_screen")
+        # keep the checked floats, so that numpy scalars do not reach the formulas
+        for name in ("phi", "gamma_screen"):
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
 
 
 def _sphere_quad(integrand: Callable[[float], float], lo: float, hi: float) -> float:

@@ -262,6 +262,11 @@ def test_normalization_constant_closed_form():
                 - math.lgamma(2 * ell + 1))
         assert abs(ln_a - want) < 1e-12
         assert abs(normalization_constant(ctx, ell) - math.exp(ln_a)) < 1e-12 * math.exp(ln_a)
+    # ln A = 709.4 is past 709 but A = 1.226e308 is a double, so A is returned
+    ctx = radial.RelativisticContext(1.0, 1.5, 1.0, 1.0, 3336782.4755672514)
+    ln_a = log_normalization_constant(ctx, 100)
+    assert 709.0 < ln_a < 709.78
+    assert normalization_constant(ctx, 100) == math.exp(ln_a)
 
 
 def test_log_normalization_constant_contract_against_mpmath():

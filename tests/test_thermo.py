@@ -5,14 +5,17 @@ Frozen constants come from mpmath at 50 dps via the Dawson/Erfi
 identities (independent of the implementation's scipy route).
 """
 
+import itertools
 import math
+import sys
+import warnings
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
 
-from ptdrsc.errors import DomainError, Overflow
+from ptdrsc.errors import DomainError, NumericalError, Overflow
 from ptdrsc.thermo import (
     ThermoState,
     entropy,
@@ -183,9 +186,16 @@ def test_partition_sum_small_cases():
 
 
 def test_partition_sum_overflow():
-    st = ThermoState(beta=1.0, xi=-30.0, tau=1.0)
-    with pytest.raises(Overflow):
-        partition_sum(st, 10)
+    # a term overflows (e^900), or the sum does where no term does
+    # (10001 terms, the largest e^708.9), or sqrt(beta)/tau does
+    for st, n_max in ((ThermoState(beta=1.0, xi=-30.0, tau=1.0), 10),
+                      (ThermoState(beta=1.0, xi=0.0, tau=1e4 / math.sqrt(708.9)), 10000),
+                      (ThermoState(beta=1e300, xi=0.0, tau=5e-324), 0)):
+        with pytest.raises(Overflow):
+            partition_sum(st, n_max)
+    # 1 + e^709.5 = 1.35e308 is a double, though its exponent is past 709
+    st = ThermoState(beta=709.5, xi=0.0, tau=1.0)
+    assert partition_sum(st, 1) == 1.0 + math.exp(709.5)
 
 
 def test_negative_xi_rejected_where_log_is_needed():
@@ -249,6 +259,30 @@ def test_thermo_contract_against_mpmath():
             for fn, want, tol in checks:
                 got = fn(st)
                 assert abs(got - want) <= tol, (fn.__name__, x, got, float(want))
+    # from x = 6 to 1e153, where ln Z and beta*U cancel two terms of size x^2
+    # in S, S within 1e-14 max(1, |S|), U and C within their relative bounds;
+    # the closed forms need about 6 log10(x) + 120 digits to resolve that
+    # cancellation (at 84 digits mpmath's erfi reads S = 914.3 at x = 1.5e22,
+    # where S = -52.5)
+    for x in 10 ** np.random.default_rng(20261121).uniform(math.log10(6.0), 153.0, 300):
+        beta, tau, kb = 10 ** rng.uniform([-3.0, -1.0, -1.0], [3.0, 1.0, 1.0])
+        st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
+        with mpmath.workdps(int(6 * math.log10(x)) + 120):
+            b, T, K = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(kb)
+            X = mpmath.mpf(st.xi) / T * mpmath.sqrt(b)
+            erfi = mpmath.erfi(X)
+            D = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-X * X) * erfi
+            phi = X / D
+            lnZ = mpmath.log(T * mpmath.sqrt(mpmath.pi) / (2 * mpmath.sqrt(b))) + mpmath.log(erfi)
+            U = (1 - phi) / (2 * b)
+            S = K * (lnZ + b * U)
+            C = K * ((1 - phi) / 2 + X * (D - X * (1 - 2 * X * D)) / D ** 2 / 4)
+            c_tol = 5e-13 if x < 7.0 else 2e-15
+            for fn, want, tol in ((entropy, S, 1e-14 * max(1, abs(S))),
+                                  (mean_energy, U, 1e-14 * abs(U)),
+                                  (specific_heat, C, c_tol * abs(C))):
+                got = fn(st)
+                assert abs(got - want) <= tol, (fn.__name__, x, got, float(want))
 
 
 def test_partition_function_overflow_where_erfi_is_finite():
@@ -274,11 +308,13 @@ def test_partition_function_where_z_is_finite_and_e_x2_is_not():
 
 def test_mean_energy_where_x_over_dawson_overflows():
     # x/D(x) ~ 2x^2 overflows from x ~ 9.5e153; U = 1/(2 beta) - (xi/tau)^2/(1 - E)
-    # with E = 1 - 2xD ~ -1/(2x^2), so U = -1 at xi = tau, and -r^2 for r = xi/tau
+    # with E = 1 - 2xD ~ -1/(2x^2), so U = -1 at xi = tau, and -r^2 for r = xi/tau;
+    # S = k(ln Z + beta U) from mpmath's erfi at 740 digits, where ln Z and
+    # beta U are 1.7e308 apart
     st = ThermoState(beta=1.7e308, xi=5e-324, tau=5e-324)
     assert st.x == pytest.approx(1.3038404810405297e154, rel=1e-15)
     assert mean_energy(st) == pytest.approx(-1.0, rel=1e-15)
-    assert math.isfinite(entropy(st))
+    assert entropy(st) == pytest.approx(-1453.8600559951694487, rel=1e-13)
     st = ThermoState(beta=1e10, xi=1e150, tau=1.0)
     assert mean_energy(st) == pytest.approx(-1e300, rel=1e-15)
     for st in (ThermoState(beta=1.0, xi=1e155, tau=1.0),
@@ -317,3 +353,48 @@ def test_partition_function_where_x_underflows():
         else:
             with pytest.raises(DomainError):
                 log_partition_function(st)
+
+
+def test_ends_of_range_regressions():
+    # U where x^2 is subnormal (x = 1e-160): -(xi/tau)^2/3, not -0.333251;
+    # S where ln Z and beta U cancel (x = 1e154): mpmath's erfi at 740 digits
+    assert mean_energy(ThermoState(beta=1e-320, xi=1.0, tau=1.0)) == pytest.approx(
+        -1.0 / 3.0, rel=1e-15)
+    assert entropy(ThermoState(beta=1.0, xi=1e154, tau=1.0)) == pytest.approx(
+        -354.29125150164298069, rel=1e-13)
+
+
+_THERMO_FUNCTIONS = (partition_function, log_partition_function, mean_energy,
+                     specific_heat, free_energy, entropy)
+
+
+def test_numpy_scalar_inputs_give_floats_without_warnings():
+    # the state keeps the floats its checks return, so numpy scalars never
+    # reach the formulas: each result is a float, and no numpy warning leaks
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        st = ThermoState(beta=np.float64(0.3), xi=np.float64(2.0), tau=np.float64(1.0),
+                         boltzmann_k=np.float64(1.5))
+        assert all(type(v) is float for v in (st.beta, st.xi, st.tau, st.boltzmann_k))
+        for fn in _THERMO_FUNCTIONS:
+            assert type(fn(st)) is float, fn.__name__
+        assert type(partition_sum(st, 3)) is float
+        st = ThermoState(beta=np.float64(1e-300), xi=np.float64(1e300), tau=np.float64(1e-300))
+        assert st.x == math.inf
+
+
+def test_ends_of_double_range_grid():
+    # every thermo function on a grid of beta, tau and +-xi at the ends of
+    # double range: a finite float or a typed error, with warnings as errors
+    grid = (5e-324, 1e-300, 1e-12, 0.3, 1.0, 2.5, 1e12, 1e300, sys.float_info.max)
+    xis = (0.0,) + grid + tuple(-v for v in grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for beta, tau, xi in itertools.product(grid, grid, xis):
+            st = ThermoState(beta=beta, xi=xi, tau=tau)
+            for fn in _THERMO_FUNCTIONS:
+                try:
+                    got = fn(st)
+                except (DomainError, NumericalError):
+                    continue
+                assert type(got) is float and math.isfinite(got), (fn.__name__, st, got)

@@ -2,6 +2,7 @@
 scattering probability, and inversion of the screened-Rutherford pair."""
 
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -282,6 +283,20 @@ def test_wide_angle_collision_count():
     assert mean_wide_angle_collisions(0.0, 3.0, 0.25) == 0.0
     with pytest.raises(DomainError):
         mean_wide_angle_collisions(-1.0, 1.0, 1.0)
+
+
+def test_numpy_scalar_model_keeps_floats():
+    # the model keeps the floats its checks return: numpy scalars give float
+    # results, and no numpy warning leaks before the closed form's Overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = ScreenedRutherford(np.float64(2.0), np.float64(0.5))
+        assert type(m.phi) is float and type(m.gamma_screen) is float
+        for fn in (screened_sigma_total, screened_sigma_transport, screened_transport_ratio):
+            assert type(fn(m)) is float, fn.__name__
+        assert type(screened_rutherford_dcs(m, np.float64(0.3))) is float
+        with pytest.raises(Overflow):
+            screened_sigma_total(ScreenedRutherford(np.float64(1e308), np.float64(1e-3)))
 
 
 def test_model_validation():
