@@ -220,7 +220,11 @@ def test_thermo_contract_against_mpmath():
     # sides of |x| = 0.01, the series switch |x| = 0.45 and |x| = 6, a band
     # of 300 x log-uniform on [7, 1e4], where C meets its tightest bound,
     # and bands of 100 x of either sign across the series range, its switch
-    # and the worst of the closed form below 6
+    # and the worst of the closed form below 6.  A last band of 300 x
+    # log-uniform on [6, 1e153] checks S where ln Z and beta*U cancel two
+    # terms of size x^2; there the closed forms need about 6 log10(x) + 120
+    # digits (at 84 digits mpmath's erfi reads S = 914.3 at x = 1.5e22,
+    # where S = -52.5)
     rng = np.random.default_rng(20261103)
     xs = [s * 0.01 * f for s in (1.0, -1.0) for f in (1 - 1e-12, 1 + 1e-12, 1.003, 1.03)]
     xs += list(10 ** rng.uniform(-6.0, 4.0, 800) * rng.choice([1.0, -1.0], 800))
@@ -230,10 +234,11 @@ def test_thermo_contract_against_mpmath():
     band_rng = np.random.default_rng(20261118)
     for lo, hi in ((0.01, 0.02), (0.1, 0.3), (0.3, 0.6), (5.0, 6.0)):
         xs += list(band_rng.uniform(lo, hi, 100) * band_rng.choice([1.0, -1.0], 100))
+    xs += list(10 ** np.random.default_rng(20261121).uniform(math.log10(6.0), 153.0, 300))
     for x in xs:
         beta, tau, kb = 10 ** rng.uniform([-3.0, -1.0, -1.0], [3.0, 1.0, 1.0])
         st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
-        with mpmath.workdps(40):
+        with mpmath.workdps(40 if abs(x) <= 1e4 else int(6 * math.log10(x)) + 120):
             b, T, K = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(kb)
             X = mpmath.mpf(st.xi) / T * mpmath.sqrt(b)
             erfi = mpmath.erfi(X)
@@ -252,35 +257,13 @@ def test_thermo_contract_against_mpmath():
                     partition_function(st)
             if X > 0:
                 lnZ = mpmath.log(pre) + mpmath.log(erfi)
+                S = K * (lnZ + b * U)
                 scale = 1e-13 * max(1, abs(lnZ))
+                s_tol = 1e-14 * max(1, abs(S)) if x >= 6.0 else scale * K
                 checks += [(log_partition_function, lnZ, scale),
                            (free_energy, -lnZ / b, scale / b),
-                           (entropy, K * (lnZ + b * U), scale * K)]
+                           (entropy, S, s_tol)]
             for fn, want, tol in checks:
-                got = fn(st)
-                assert abs(got - want) <= tol, (fn.__name__, x, got, float(want))
-    # from x = 6 to 1e153, where ln Z and beta*U cancel two terms of size x^2
-    # in S, S within 1e-14 max(1, |S|), U and C within their relative bounds;
-    # the closed forms need about 6 log10(x) + 120 digits to resolve that
-    # cancellation (at 84 digits mpmath's erfi reads S = 914.3 at x = 1.5e22,
-    # where S = -52.5)
-    for x in 10 ** np.random.default_rng(20261121).uniform(math.log10(6.0), 153.0, 300):
-        beta, tau, kb = 10 ** rng.uniform([-3.0, -1.0, -1.0], [3.0, 1.0, 1.0])
-        st = ThermoState(beta=beta, xi=x * tau / math.sqrt(beta), tau=tau, boltzmann_k=kb)
-        with mpmath.workdps(int(6 * math.log10(x)) + 120):
-            b, T, K = mpmath.mpf(beta), mpmath.mpf(tau), mpmath.mpf(kb)
-            X = mpmath.mpf(st.xi) / T * mpmath.sqrt(b)
-            erfi = mpmath.erfi(X)
-            D = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-X * X) * erfi
-            phi = X / D
-            lnZ = mpmath.log(T * mpmath.sqrt(mpmath.pi) / (2 * mpmath.sqrt(b))) + mpmath.log(erfi)
-            U = (1 - phi) / (2 * b)
-            S = K * (lnZ + b * U)
-            C = K * ((1 - phi) / 2 + X * (D - X * (1 - 2 * X * D)) / D ** 2 / 4)
-            c_tol = 5e-13 if x < 7.0 else 2e-15
-            for fn, want, tol in ((entropy, S, 1e-14 * max(1, abs(S))),
-                                  (mean_energy, U, 1e-14 * abs(U)),
-                                  (specific_heat, C, c_tol * abs(C))):
                 got = fn(st)
                 assert abs(got - want) <= tol, (fn.__name__, x, got, float(want))
 
