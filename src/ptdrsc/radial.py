@@ -26,7 +26,9 @@ radial_wavefunction, radial_wavefunction_with_derivative
     g_{kℓ}(r) = 2·F_{ℓ−1/2}(−η, kr), the regular Coulomb wave of DLMF §33,
     within 1e-11·max(1, |g|), and dg/dr within 1e-11·max(k, |dg/dr|), for
     0.1 ≤ η ≤ 6, ℓ ≤ 30 and 0.05 ≤ kr ≤ 1200.  The envelope of g is 2, so
-    near its nodes the bound is absolute.
+    near its nodes the bound is absolute.  z = −2i·(kr) is formed from kr,
+    so it is finite wherever 2kr is, also where 2k is not; dg/dr raises
+    Overflow where it leaves double range.
 """
 
 import cmath
@@ -196,7 +198,7 @@ def _regular_wave(ctx: RelativisticContext, ell: int, r: float) -> float:
     """g_{kℓ}(r) from one Coulomb-case ₁F₁, for a checked ℓ and r."""
     k = ctx.wave_number
     F = hyp1f1(complex(ell + 0.5, -ctx.sommerfeld), complex(2 * ell + 1),
-               complex(0.0, -2.0 * k * r))
+               complex(0.0, -2.0 * (k * r)))
     ln_pre = log_normalization_constant(ctx, ell) + (ell + 0.5) * math.log(k * r)
     g = cmath.exp(complex(ln_pre, k * r)) * F
     # The normalized envelope is O(2); a pure ratio test would trip on
@@ -231,14 +233,18 @@ def radial_wavefunction_with_derivative(
     ctx: RelativisticContext, ell: int, r: float
 ) -> tuple[float, float]:
     """g_{kℓ}(r) and dg/dr = k·[(L′/kr − η/L′)·g_ℓ − √(1 + η²/L′²)·g_{ℓ+1}],
-    L′ = ℓ + 1/2 (DLMF 33.4.4); ℓ + 1 must be an index too, so ℓ < 2**53."""
+    L′ = ℓ + 1/2 (DLMF 33.4.4); ℓ + 1 must be an index too, so ℓ < 2**53.
+    Raises Overflow where dg/dr leaves double range."""
     ell = check_index(ell, "ell")
     check_index(ell + 1, "ell + 1")
     r = check_positive(r, "r")
     k, half = ctx.wave_number, ell + 0.5
     t = ctx.sommerfeld / half
     g = _regular_wave(ctx, ell, r)
-    return g, k * ((half / (k * r) - t) * g - math.hypot(1.0, t) * _regular_wave(ctx, ell + 1, r))
+    dg = k * ((half / (k * r) - t) * g - math.hypot(1.0, t) * _regular_wave(ctx, ell + 1, r))
+    if math.isinf(dg):
+        raise Overflow(f"dg/dr leaves double range at k = {k!r}, ell = {ell}, r = {r!r}")
+    return g, dg
 
 
 def scattering_amplitude(

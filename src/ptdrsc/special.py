@@ -21,7 +21,9 @@ hyp2f1_terminating
     (sin q)^χ (cos q)^λ ₂F₁(−n, χ+λ+n; χ+½; sin²q) the error is
     ≤ 1e-12 of the level's peak for n ≤ 30.
 dawson
-    relative accuracy ≤ 1e-12 for |x| ≤ 20.
+    relative accuracy ≤ 1e-12 for |x| ≤ 20, and ≤ 5e-15 from |x| = 6 to
+    the largest double (measured 1.9e-15 against 40-digit mpmath), which
+    covers every x at which thermo takes ln|D(x)|.
 
 Scalar entry points
 -------------------

@@ -7,7 +7,7 @@ index is replaced by an integral, giving
 
 from which internal energy, specific heat, free energy and entropy all
 follow by differentiating ln Z.  None is formed from Erfi itself, which
-grows as e^{x²}: ln Z is taken in log space through the Dawson integral
+grows as e^{x²}: ln Z and S are taken in log space through the Dawson integral
 D(x) = (√π/2)·e^{−x²}·Erfi(x), and U and C through the ratio φ(x) = x/D(x),
 or through a series where φ cancels or overflows.  The log-partition
 function is offered separately for the regime where Z overflows a double.
@@ -22,9 +22,8 @@ partition_function
     ≤ 1e-12 relative; Overflow where Z leaves double range.
 log_partition_function, free_energy, entropy
     ≤ 1e-13·max(1, |ln Z|), times 1/β for F and k for S; Overflow where
-    ln Z leaves double range (from x ≈ 1.34e154).  From x = 6, where
-    S = k(ln Z + βU) would cancel two terms of size x², S takes the
-    large-|x| series and is ≤ 1e-14·max(1, |S|) up to x = 1e153.
+    ln Z leaves double range (from x ≈ 1.34e154).  From x = 6, where ln Z
+    and βU are both of size x², S is ≤ 1e-14·max(1, |S|) up to x = 1e153.
 mean_energy
     ≤ 1e-14 relative.
 specific_heat
@@ -36,16 +35,22 @@ specific_heat
 At the ends of double range every function returns a finite value or raises
 Overflow.  x is formed without ξ/τ where that ratio alone would leave the
 normal range.  Where x underflows, Z = ξ·e^{x²}·D(x)/x is ξ.  Z, ln Z, U
-and F raise Overflow where they, or x, leave double range; C tends to k.
+and F raise Overflow where they, or x, leave double range, and k·C and k·S
+where the Boltzmann constant takes them out of it; C/k tends to 1.
 
-Z and ln Z share one core, ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β with
-the logs taken apart, so Z is returned wherever it is a double.  U and C
-share another, ``_energy_and_heat``, the one place that picks their
-regime: below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4 cancel, one
-table of the Taylor coefficients of 1 − φ in x², with U = (ξ/τ)²·S(x²)/2
-so that no x² is divided by β; then the closed forms in D(x); and from
-|x| = 6 the large-|x| series of D, E = 1 − 2xD, in which
-U = 1/(2β) − (ξ/τ)²/(1 − E) stays finite where φ overflows (|x| ≳ 9.5e153).
+Every quantity comes from one core, ``_core``, which evaluates D(x) once
+(``dawson``, at every x that does not underflow) and picks the regime once:
+below |x| = 0.45, where 1 − φ and (1 − φ)/2 + xφ′/4 cancel, one table of
+the Taylor coefficients of 1 − φ in x², with U = (ξ/τ)²·S(x²)/2 so that no
+x² is divided by β; then the closed forms in D(x); and from |x| = 6 the
+large-|x| series of D, E = 1 − 2xD, in which U = 1/(2β) − (ξ/τ)²/(1 − E)
+stays finite where φ overflows (|x| ≳ 9.5e153).  ln|Z| = x² + ln|D| + ln τ
+− ½ ln β takes the logs apart, so Z is returned wherever it is a double.
+S/k = σ + ln|D| + ln τ − ½ ln β, where each regime forms σ = x² + βU with
+no x² left to cancel: t(1 + u/2) from the Taylor table, with t = x² and u
+its sum for 1 − φ; x² + (1 − φ)/2 from the closed form; and
+½ + ½(1 + sT)/(1 − E) from the series.  So S never goes through U or β, and is finite where U
+overflows (β = 5e-324, x = 3).
 """
 
 import math
@@ -124,27 +129,64 @@ class ThermoState:
             return math.copysign(math.inf, self.xi)
 
 
-def _log_z(state: ThermoState):
-    """(a number with the sign of Z, ln|Z|), ln|Z| = x² + ln|D(x)| + ln τ − ½ ln β.
+def _core(state: ThermoState):
+    """(a number with the sign of Z, ln|Z|, U, C/k, S/k): the one core of every quantity.
 
-    The logs are taken apart, so that no factor under- or overflows on its
-    own; ln|Z| is −inf where Z = 0.  Where x underflows, Z = ξ·e^(x²)·D(x)/x
-    is ξ to double precision.  Raises Overflow where x or ln|Z| leaves
-    double range.
+    Evaluates D(x) once and picks the regime once (see the module notes).
+    ln|Z| = x² + ln|D| + ln τ − ½ ln β and S/k = σ + ln|D| + ln τ − ½ ln β,
+    where each regime forms σ = x² + βU with no x² left to cancel, so S
+    never goes through U or β.  Where x underflows, Z = ξ·e^(x²)·D(x)/x is
+    ξ to double precision and S/k = ln|ξ|.  ln|Z| and S/k are inf where x
+    is, and U is ±inf or nan where it leaves double range; the callers raise.
     """
     x = state.x
-    if math.isinf(x):
-        raise Overflow(f"x = (xi/tau)*sqrt(beta) and ln Z leave double range at {state!r}")
+    ratio = state.xi / state.tau
     if abs(x) < sys.float_info.min:
         xi = state.xi
-        return xi, math.log(abs(xi)) if xi else -math.inf
-    d = dawson(x)
-    if d == 0.0:
-        return d, -math.inf
-    ln_z = x * x + math.log(abs(d)) + math.log(state.tau) - 0.5 * math.log(state.beta)
-    if not math.isfinite(ln_z):
-        raise Overflow(f"ln Z overflows double range at x = {x!r}")
-    return d, ln_z
+        ln_z = math.log(abs(xi)) if xi else -math.inf
+        # the Taylor table at x² = 0: U = (ξ/τ)²·c₁/2, C = 0
+        return xi, ln_z, ratio * ratio * (-2 / 3) / 2.0, 0.0, ln_z
+    d = dawson(x) if math.isfinite(x) else x  # ln|D| = inf where x is
+    t = x * x
+    if abs(x) < _SERIES_X:
+        # U and C cancel totally at x = 0; the series keeps relative accuracy
+        u = cv = 0.0
+        for cu, cc in _TAYLOR:
+            u, cv = u * t + cu, cv * t + cc
+        energy, heat, sigma = ratio * ratio * u / 2.0, cv * t, t * (1.0 + u / 2.0)
+    elif abs(x) < _ASYMPTOTIC_X:
+        u = 1.0 - x / d
+        # φ' = (D − x·D')/D² with D' = 1 − 2xD; u/2/β, as 2β overflows past β = 8.99e307
+        energy, heat, sigma = (u / 2.0 / state.beta,
+                               0.5 * u + 0.25 * x * ((d - x + 2.0 * t * d) / (d * d)),
+                               t + u / 2.0)
+    else:
+        s, total, e = _large_x_series(x)
+        energy = 0.5 / state.beta - ratio * ratio / (1.0 - e)
+        heat = 0.5 + (total * (1.0 - s) - 1.0) / (4.0 * (1.0 - e) ** 2)
+        sigma = 0.5 + 0.5 * (1.0 + s * total) / (1.0 - e)
+    ln_d, ln_tau, ln_beta = math.log(abs(d)), math.log(state.tau), math.log(state.beta)
+    return (d, t + ln_d + ln_tau - 0.5 * ln_beta, energy, heat,
+            sigma + ln_d + ln_tau - 0.5 * ln_beta)
+
+
+def _ln_z_core(state: ThermoState):
+    """The core where ln Z enters: DomainError unless Z > 0, Overflow where ln Z
+    leaves double range."""
+    if state.xi <= 0.0:  # x has the sign of ξ, also where it underflows
+        raise DomainError(
+            f"partition function is non-positive at x = {state.x!r}; ln Z undefined"
+        )
+    core = _core(state)
+    _in_range(core[1], "ln Z", state)
+    return core
+
+
+def _in_range(value: float, name: str, state: ThermoState) -> float:
+    """``value``; Overflow where it is inf or nan, outside double range."""
+    if not math.isfinite(value):
+        raise Overflow(f"{name} leaves double range at {state!r}")
+    return value
 
 
 def partition_function(state: ThermoState) -> float:
@@ -155,7 +197,7 @@ def partition_function(state: ThermoState) -> float:
     Overflow where Z itself leaves double range; use log_partition_function
     in that regime.
     """
-    d, ln_z = _log_z(state)
+    d, ln_z = _core(state)[:2]
     if ln_z > _LOG_MAX:
         raise Overflow(
             f"partition function overflows double range at x = {state.x!r}; "
@@ -173,11 +215,7 @@ def log_partition_function(state: ThermoState) -> float:
     non-positive partition function is meaningless).  Raises Overflow where
     ln Z itself leaves double range.
     """
-    if state.xi <= 0.0:  # x has the sign of ξ, also where it underflows
-        raise DomainError(
-            f"partition function is non-positive at x = {state.x!r}; ln Z undefined"
-        )
-    return _log_z(state)[1]
+    return _ln_z_core(state)[1]
 
 
 def partition_sum(state: ThermoState, n_max: int) -> float:
@@ -202,34 +240,6 @@ def partition_sum(state: ThermoState, n_max: int) -> float:
     return total
 
 
-def _energy_and_heat(state: ThermoState):
-    """(U, C/k), U = (1 − φ)/(2β) and C/k = (1 − φ)/2 + xφ′/4, φ = x/D(x).
-
-    The one place that picks their regime (see the module notes).  From
-    |x| = 6, C/k = ½ + (T(1 − s) − 1)/(4(1 − E)²) has no ½ − ½ cancellation
-    and is 1 where x² overflows.  U is ±inf or nan where it leaves double range.
-    """
-    x = state.x
-    if abs(x) < _SERIES_X:
-        # both cancel totally at x = 0; the series keeps relative accuracy
-        t = x * x
-        u = cv = 0.0
-        for cu, cc in _TAYLOR:
-            u, cv = u * t + cu, cv * t + cc
-        ratio = state.xi / state.tau
-        return ratio * ratio * u / 2.0, cv * t
-    if abs(x) < _ASYMPTOTIC_X:
-        d = dawson(x)
-        u = 1.0 - x / d
-        # φ' = (D − x·D')/D² with D' = 1 − 2xD
-        cv = 0.5 * u + 0.25 * x * ((d - x + 2.0 * x * x * d) / (d * d))
-        return u / (2.0 * state.beta), cv
-    s, total, e = _large_x_series(x)
-    ratio = state.xi / state.tau
-    return (0.5 / state.beta - ratio * ratio / (1.0 - e),
-            0.5 + (total * (1.0 - s) - 1.0) / (4.0 * (1.0 - e) ** 2))
-
-
 def mean_energy(state: ThermoState) -> float:
     """Internal energy U = −∂_β ln Z = (1/2β)·(1 − x/D(x)).
 
@@ -237,19 +247,18 @@ def mean_energy(state: ThermoState) -> float:
     Written through the Dawson ratio or its series, so it is finite where
     Z itself overflows.  Raises Overflow where U leaves double range.
     """
-    energy = _energy_and_heat(state)[0]
-    if not math.isfinite(energy):  # also nan, where 1/(2β) and (ξ/τ)² both overflow
-        raise Overflow(f"mean energy leaves double range at {state!r}")
-    return energy
+    # nan where 1/(2β) and (ξ/τ)² both overflow
+    return _in_range(_core(state)[2], "mean energy", state)
 
 
 def specific_heat(state: ThermoState) -> float:
     """Heat capacity C = −k β² ∂U/∂β = k[(1 − φ)/2 + x φ'(x)/4].
 
     Vanishes ∝ β² as β → 0 (the leading (4/45)x⁴ term of the series)
-    and approaches k from above as x → ∞.
+    and approaches k from above as x → ∞.  Raises Overflow where k·C
+    leaves double range.
     """
-    return state.boltzmann_k * _energy_and_heat(state)[1]
+    return _in_range(state.boltzmann_k * _core(state)[3], "specific heat", state)
 
 
 def _large_x_series(x: float):
@@ -278,25 +287,15 @@ def free_energy(state: ThermoState) -> float:
 
     Raises Overflow where F leaves double range.
     """
-    f = -log_partition_function(state) / state.beta
-    if math.isinf(f):
-        raise Overflow(f"free energy leaves double range at {state!r}")
-    return f
+    return _in_range(-log_partition_function(state) / state.beta, "free energy", state)
 
 
 def entropy(state: ThermoState) -> float:
     """Entropy S = k(ln Z + βU); satisfies F = U − TS identically.
 
-    From x = 6, where ln Z and βU are of size x² and cancel, it takes the
-    large-|x| series: S/k = ½ + ½(1 + sT)/(1 − E) + ln D + ln τ − ½ ln β,
-    with D = (1 − E)/(2x).
+    Taken as k[σ + ln D + ln τ − ½ ln β], σ = x² + βU formed in each regime
+    with no x² left to cancel, so it is finite where U or βU overflows.
+    Has ln Z's DomainError and Overflow, and raises Overflow where k·S
+    leaves double range.
     """
-    ln_z = log_partition_function(state)
-    x = state.x
-    if x < _ASYMPTOTIC_X:
-        return state.boltzmann_k * (ln_z + state.beta * mean_energy(state))
-    s, total, e = _large_x_series(x)
-    return state.boltzmann_k * (
-        0.5 + 0.5 * (1.0 + s * total) / (1.0 - e) + math.log1p(-e) - math.log(2.0 * x)
-        + math.log(state.tau) - 0.5 * math.log(state.beta)
-    )
+    return _in_range(state.boltzmann_k * _ln_z_core(state)[4], "entropy", state)

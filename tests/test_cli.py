@@ -175,6 +175,8 @@ def test_numerical_errors_exit_3():
     for i, argv in enumerate((
         # partition function overflows double range at this xi
         ("thermo", "--beta", "1", "--xi", "50"),
+        # k·C leaves double range
+        ("thermo", "--beta", "1", "--xi", "3", "--kb", "1.7e308"),
         # the nonrelativistic level -8*delta^2 overflows
         ("bound-states", "--delta", "1e308"),
         # both screened closed forms overflow

@@ -239,6 +239,11 @@ EXTREME_CASES = [
     # ln Z = ln xi = -744.4 where x underflows, so F = -ln Z/beta leaves double range
     ("free_energy(beta=5e-324, xi=5e-324, tau=1e-12)",
      lambda: thermo.free_energy(thermo.ThermoState(beta=5e-324, xi=5e-324, tau=1e-12))),
+    # the Boltzmann constant takes k·C (C/k = 1.22 at x = 3) and k·S (S/k = -13.5) past double range
+    ("specific_heat(xi=3, kb=1.7e308)",
+     lambda: thermo.specific_heat(thermo.ThermoState(1.0, 3.0, 1.0, boltzmann_k=1.7e308))),
+    ("entropy(tau=1e-3, kb=1e308)",
+     lambda: thermo.entropy(thermo.ThermoState(1.0, 1.0, 1e-3, boltzmann_k=1e308))),
 ]
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from ptdrsc import radial
-from ptdrsc.errors import DomainError
+from ptdrsc.errors import DomainError, Overflow
 from ptdrsc.radial import (
     coulomb_cross_section,
     log_normalization_constant,
@@ -378,6 +378,23 @@ def test_radial_wavefunction_domain():
         radial_wavefunction(ctx, 0, -1.0)
     with pytest.raises(DomainError):
         radial_wavefunction(ctx, -1, 1.0)
+
+
+
+def test_radial_wave_at_the_top_of_double_range():
+    # k = 1.7e308: z = -2i(kr) is finite where 2k is not, and g meets the
+    # radial contract at kr = 170, l = 2; at k = 8e307, kr = 0.05, l = 0 g is
+    # finite but dg/dr = 4.47e308 is not a double, so it raises Overflow
+    for (E, ell, kr) in ((1.7e308, 2, 170.0), (8e307, 0, 0.05)):
+        ctx = make_context(1.0, E, 1e-300)
+        r = kr / ctx.wave_number
+        want_g, want_dg = _mp_coulomb_wave(ell, ctx.sommerfeld, ctx.wave_number,
+                                           ctx.wave_number * r)
+        g = radial_wavefunction(ctx, ell, r)
+        assert abs(g - want_g) <= 1e-11 * max(1.0, abs(want_g)), (E, g, want_g)
+    assert want_dg == math.inf
+    with pytest.raises(Overflow):
+        radial_wavefunction_with_derivative(ctx, ell, r)
 
 
 # ------------------------------------------------------ scattering amplitude

@@ -8,6 +8,7 @@ suite never depends on the implementation under test.
 import cmath
 import math
 import struct
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -450,6 +451,31 @@ def test_dawson_derivative_identity():
     for x in (0.5, 2.0, 6.0):
         fd = (dawson(x + h) - dawson(x - h)) / (2.0 * h)
         assert abs(fd - (1.0 - 2.0 * x * dawson(x))) < 1e-8
+
+
+
+def test_dawson_contract_from_six_to_the_largest_double():
+    # the dawson contract past |x| = 6, where thermo takes ln|D| at every x:
+    # 400 x log-uniform on [6, DBL_MAX] with both signs, against 40-digit
+    # mpmath, through erfi below 1e3 and the asymptotic series
+    # D = (1/2x)·Σ (2n-1)!!/(2x²)ⁿ above (its first omitted term is < 1e-40)
+    rng = np.random.default_rng(20261021)
+    xs = 10 ** rng.uniform(math.log10(6.0), math.log10(sys.float_info.max), 400)
+    for x in xs * rng.choice([1.0, -1.0], 400):
+        x = float(x)
+        with mpmath.workdps(40):
+            X = mpmath.mpf(abs(x))
+            if X < 1e3:
+                want = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-X * X) * mpmath.erfi(X)
+            else:
+                s, term, total, n = 1 / (2 * X * X), mpmath.mpf(1), mpmath.mpf(1), 1
+                while term > mpmath.mpf(10) ** -45:
+                    term *= (2 * n - 1) * s
+                    total += term
+                    n += 1
+                want = total / (2 * X)
+            want = mpmath.sign(x) * want
+            assert abs(dawson(x) - want) <= 5e-15 * abs(want), x
 
 
 # ------------------------------------------------- scalar scipy entry points

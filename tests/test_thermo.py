@@ -345,6 +345,35 @@ def test_ends_of_range_regressions():
         -1.0 / 3.0, rel=1e-15)
     assert entropy(ThermoState(beta=1.0, xi=1e154, tau=1.0)) == pytest.approx(
         -354.29125150164298069, rel=1e-13)
+    # U = u/2/beta at x = 1, where 2 beta overflows: a subnormal double, not
+    # -0.0 (mpmath at 60 digits: -4.2923070582775093e-309, to the subnormal ulp)
+    got = mean_energy(ThermoState(beta=1e308, xi=1e-154, tau=1.0))
+    assert abs(got - -4.2923070582775093e-309) <= 2 * 5e-324, got
+    # S at x = 3 and beta = 5e-324, where U = 3.3e323 overflows and S does
+    # not: 371.58143118659698 from mpmath's erfi at 60 digits
+    st = ThermoState(beta=5e-324, xi=3.0 / math.sqrt(5e-324), tau=1.0)
+    with pytest.raises(Overflow):
+        mean_energy(st)
+    assert entropy(st) == pytest.approx(371.58143118659698, rel=1e-14)
+
+
+def test_each_function_calls_dawson_at_most_once(monkeypatch):
+    # one core evaluates D(x) once for every quantity, in every regime:
+    # x underflows, the Taylor table, the closed forms, the large-|x|
+    # series, and past x = 1.34e154, where ln Z overflows
+    from ptdrsc import special, thermo
+
+    calls = []
+    monkeypatch.setattr(thermo, "dawson", lambda x: calls.append(x) or special.dawson(x))
+    for xi in (1e-320, 0.1, 1.0, 3.0, 10.0, 1e100, 1e200):
+        st = ThermoState(beta=1.0, xi=xi, tau=1.0)
+        for fn in _THERMO_FUNCTIONS:
+            calls.clear()
+            try:
+                fn(st)
+            except Overflow:
+                pass
+            assert len(calls) == (xi > 1e-300), (fn.__name__, xi, calls)
 
 
 _THERMO_FUNCTIONS = (partition_function, log_partition_function, mean_energy,
@@ -368,13 +397,14 @@ def test_numpy_scalar_inputs_give_floats_without_warnings():
 
 def test_ends_of_double_range_grid():
     # every thermo function on a grid of beta, tau and +-xi at the ends of
-    # double range: a finite float or a typed error, with warnings as errors
+    # double range, with k = 1 and 1.7e308: a finite float or a typed error,
+    # with warnings as errors
     grid = (5e-324, 1e-300, 1e-12, 0.3, 1.0, 2.5, 1e12, 1e300, sys.float_info.max)
     xis = (0.0,) + grid + tuple(-v for v in grid)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for beta, tau, xi in itertools.product(grid, grid, xis):
-            st = ThermoState(beta=beta, xi=xi, tau=tau)
+        for beta, tau, xi, kb in itertools.product(grid, grid, xis, (1.0, 1.7e308)):
+            st = ThermoState(beta=beta, xi=xi, tau=tau, boltzmann_k=kb)
             for fn in _THERMO_FUNCTIONS:
                 try:
                     got = fn(st)
